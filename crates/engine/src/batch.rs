@@ -28,9 +28,7 @@ pub struct BatchItem {
     pub backend: BackendKind,
     /// The lowering pipeline run before synthesis. Presets lower to the
     /// backend's basis ([`BackendKind::basis`]); `none` synthesizes the
-    /// circuit as-is. The JSON/CLI surfaces keep the pre-pipeline
-    /// `transpile: true/false` flag as a deprecated alias for
-    /// `default`/`none`.
+    /// circuit as-is.
     pub pipeline: PipelineSpec,
     /// When `true`, the compiled circuit is checked against this item's
     /// *input* circuit (pipeline and synthesis end to end) by the

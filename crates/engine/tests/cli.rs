@@ -189,7 +189,8 @@ fn malformed_qasm_error_names_the_line() {
 #[test]
 fn pipeline_presets_compile_and_report_passes() {
     // `--pipeline zx` must run phase folding and emit the pass table plus
-    // per-pass JSON; `--no-transpile` stays a working alias for `none`.
+    // per-pass JSON; `--pipeline none` skips lowering, and the removed
+    // `--no-transpile` alias is a usage error.
     let dir = tmp_dir("pipeline");
     let report = dir.join("report.json");
     let out = run(&[
@@ -213,7 +214,8 @@ fn pipeline_presets_compile_and_report_passes() {
     let out = run(&[
         "--backend",
         "gridsynth",
-        "--no-transpile",
+        "--pipeline",
+        "none",
         "--out",
         report.to_str().unwrap(),
         smoke_qasm().to_str().unwrap(),
@@ -222,6 +224,14 @@ fn pipeline_presets_compile_and_report_passes() {
     assert!(stderr_of(&out).contains("no lowering passes"), "{}", stderr_of(&out));
     let json = std::fs::read_to_string(&report).unwrap();
     assert!(json.contains("\"pipeline\": \"none\""), "{json}");
+
+    let out = run(&["--no-transpile", smoke_qasm().to_str().unwrap()]);
+    assert_eq!(out.status.code(), Some(2), "{}", stderr_of(&out));
+    assert!(
+        stderr_of(&out).contains("unknown flag '--no-transpile'"),
+        "{}",
+        stderr_of(&out)
+    );
     std::fs::remove_dir_all(&dir).ok();
 }
 

@@ -6,20 +6,14 @@
 //! options:
 //!   --addr HOST:PORT       bind address (default 127.0.0.1:8087; port 0 = ephemeral)
 //!   --addr-file FILE       write the bound address to FILE (for scripts using port 0)
-//!   --event-core           readiness-driven epoll core (default on Linux):
-//!                          one nonblocking loop owns every connection,
-//!                          handler threads only run parsed requests
-//!   --thread-core          blocking thread-per-connection core (default
-//!                          elsewhere; the pre-event-core behaviour)
 //!   --http-workers N       handler threads (default 4)
 //!   --queue-depth N        bounded dispatch queue; overflow answers 429 (default 64)
 //!   --max-conns N          open-connection cap; excess accepts answer 429
-//!                          (default 10240, event core only)
+//!                          (default 10240)
 //!   --read-timeout-ms N    whole-request read deadline; a connection that
 //!                          dribbles a request slower than this gets 408
 //!                          (default 5000)
-//!   --keepalive-timeout-ms N  idle keep-alive reap timeout (default 5000,
-//!                          event core only)
+//!   --keepalive-timeout-ms N  idle keep-alive reap timeout (default 5000)
 //!   --threads N            synthesis worker threads per request (default 1)
 //!   --cache-capacity N     shared-cache entries, 0 = unbounded (default 65536)
 //!   --cache-policy NAME    eviction policy: fifo|lru|2q|freq (default fifo)
@@ -44,16 +38,20 @@
 //!   --trace-seed N         sampling seed, for reproducible 1-in-N picks
 //! ```
 //!
-//! The server runs until SIGINT/SIGTERM, then drains gracefully: the
-//! accept loop stops, queued connections are served, in-flight requests
-//! finish, and the cache snapshot is saved when `--cache-file` is set.
+//! One nonblocking epoll loop owns every connection; the handler threads
+//! only run parsed requests. epoll makes the server Linux-only: elsewhere
+//! it exits 1 at startup.
+//!
+//! The server runs until SIGINT/SIGTERM, then drains gracefully: it stops
+//! accepting, in-flight requests finish and their responses flush, and
+//! the cache snapshot is saved when `--cache-file` is set.
 //!
 //! Exit codes: 0 clean shutdown, 1 startup/save failure, 2 usage error.
 
 use engine::{
     AnnealingBackend, BackendKind, CachePolicy, Engine, GridsynthBackend, TrasynBackend, WarmStart,
 };
-use server::{CoreKind, Server, ServerConfig};
+use server::{Server, ServerConfig};
 use std::path::PathBuf;
 use std::process::ExitCode;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -63,7 +61,6 @@ use std::time::Duration;
 struct Options {
     addr: String,
     addr_file: Option<PathBuf>,
-    core: CoreKind,
     http_workers: usize,
     queue_depth: usize,
     max_conns: usize,
@@ -84,8 +81,8 @@ struct Options {
 }
 
 fn usage() -> &'static str {
-    "usage: trasyn-server [--addr HOST:PORT] [--addr-file FILE] [--event-core | --thread-core] \
-     [--http-workers N] [--queue-depth N] [--max-conns N] [--read-timeout-ms N] \
+    "usage: trasyn-server [--addr HOST:PORT] [--addr-file FILE] [--http-workers N] \
+     [--queue-depth N] [--max-conns N] [--read-timeout-ms N] \
      [--keepalive-timeout-ms N] [--threads N] [--cache-capacity N] \
      [--cache-policy fifo|lru|2q|freq] [--cache-trace FILE] \
      [--cache-file FILE] [--backend trasyn|gridsynth|annealing] [--epsilon EPS] \
@@ -97,7 +94,6 @@ fn parse_args(args: &[String]) -> Result<Option<Options>, String> {
     let mut opts = Options {
         addr: "127.0.0.1:8087".to_string(),
         addr_file: None,
-        core: CoreKind::default(),
         http_workers: 4,
         queue_depth: 64,
         max_conns: 10_240,
@@ -130,8 +126,6 @@ fn parse_args(args: &[String]) -> Result<Option<Options>, String> {
         match a.as_str() {
             "--addr" => opts.addr = value("--addr")?,
             "--addr-file" => opts.addr_file = Some(PathBuf::from(value("--addr-file")?)),
-            "--event-core" => opts.core = CoreKind::Event,
-            "--thread-core" => opts.core = CoreKind::Thread,
             "--http-workers" => opts.http_workers = parse_usize("--http-workers", value("--http-workers")?)?,
             "--queue-depth" => opts.queue_depth = parse_usize("--queue-depth", value("--queue-depth")?)?,
             "--max-conns" => opts.max_conns = parse_usize("--max-conns", value("--max-conns")?)?,
@@ -305,7 +299,6 @@ fn main() -> ExitCode {
         .map(|_| engine.cache().start_recording());
 
     let config = ServerConfig {
-        core: opts.core,
         http_workers: opts.http_workers,
         queue_depth: opts.queue_depth,
         max_conns: opts.max_conns,
@@ -316,10 +309,13 @@ fn main() -> ExitCode {
         cache_file: opts.cache_file.clone(),
         trace: opts.trace.clone(),
     };
-    let core = config.core;
 
     let handle = match Server::start(&opts.addr, config, engine) {
         Ok(h) => h,
+        Err(e) if e.kind() == std::io::ErrorKind::Unsupported => {
+            eprintln!("error: {e}");
+            return ExitCode::from(1);
+        }
         Err(e) => {
             eprintln!("error: cannot bind {}: {e}", opts.addr);
             return ExitCode::from(1);
@@ -339,13 +335,8 @@ fn main() -> ExitCode {
             return ExitCode::from(1);
         }
     }
-    let core_name = match core {
-        CoreKind::Event if cfg!(target_os = "linux") => "event core (epoll)",
-        CoreKind::Event => "thread core (event core unavailable on this platform)",
-        CoreKind::Thread => "thread core",
-    };
     eprintln!(
-        "[trasyn-server] listening on {addr} ({core_name}, {} workers, queue depth {}, max conns {})",
+        "[trasyn-server] listening on {addr} ({} workers, queue depth {}, max conns {})",
         opts.http_workers, opts.queue_depth, opts.max_conns
     );
 

@@ -47,34 +47,22 @@ impl Conn {
         })
     }
 
-    /// Sends one request and reads the response. `body` implies
-    /// `Content-Type: application/json`.
+    /// Sends one request with [`Conn::send`] and reads the response.
     pub fn request(
         &mut self,
         method: &str,
         path: &str,
         body: Option<&str>,
     ) -> std::io::Result<Response> {
-        let body = body.unwrap_or("");
-        let head = format!(
-            "{method} {path} HTTP/1.1\r\nHost: trasyn\r\nContent-Length: {}\r\n{}\r\n",
-            body.len(),
-            if body.is_empty() {
-                ""
-            } else {
-                "Content-Type: application/json\r\n"
-            },
-        );
-        self.writer.write_all(head.as_bytes())?;
-        self.writer.write_all(body.as_bytes())?;
-        self.writer.flush()?;
+        self.send(method, path, body)?;
         self.read_response()
     }
 
     /// Sends one request without waiting for the response — the pipelining
     /// half of [`Conn::read_response`]. An HTTP/1.1 server must answer
     /// pipelined requests in order, so `send` × N followed by
-    /// `read_response` × N exercises exactly that contract.
+    /// `read_response` × N exercises exactly that contract. `body` implies
+    /// `Content-Type: application/json`.
     pub fn send(&mut self, method: &str, path: &str, body: Option<&str>) -> std::io::Result<()> {
         let body = body.unwrap_or("");
         let head = format!(

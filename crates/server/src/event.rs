@@ -25,7 +25,7 @@
 //!
 //! # Backpressure
 //!
-//! Two caps replace the thread core's accept-queue cap:
+//! Two caps bound the work the server takes on:
 //! * **connection count** — accepts beyond `max_conns` are answered
 //!   `429` and closed before any read;
 //! * **pending requests** — when the dispatch queue is full, the request
@@ -79,7 +79,7 @@ pub(crate) struct Job {
     seq: u64,
     req: Request,
     /// Trace base: connection accept for a connection's first request,
-    /// first-byte arrival after that (matching the thread core).
+    /// first-byte arrival after that.
     base: Instant,
     /// When the request finished parsing — the `read` span's end and the
     /// `queue-wait` span's start.
@@ -440,8 +440,6 @@ impl EventLoop {
                     conn.queue_error(error_response(status, msg));
                     break;
                 }
-                // The incremental parser never does I/O.
-                Err(ReadError::Closed) | Err(ReadError::Io(_)) => break,
             }
         }
         if parsed_any {
@@ -520,8 +518,7 @@ impl EventLoop {
             Ok(()) => conn.in_flight += 1,
             Err(_) => {
                 // Pending-request cap: the dispatch queue is full. Answer
-                // 429 in sequence and close — same contract as the thread
-                // core's accept-queue shed. The slot allocated for the
+                // 429 in sequence and close. The slot allocated for the
                 // job is returned first so the error takes its sequence
                 // number (the flusher would otherwise wait on it forever).
                 conn.next_seq = seq;
@@ -577,8 +574,7 @@ impl EventLoop {
                     .req_start
                     .is_some_and(|s| now.saturating_duration_since(s) >= request_deadline);
             if idle_expired {
-                // Idle keep-alive past its welcome: close silently, like
-                // the thread core's socket read timeout.
+                // Idle keep-alive past its welcome: close silently.
                 self.shared.metrics.conn_timeout();
                 let conn = self.conns.remove(&token).expect("token just listed");
                 self.drop_conn(conn);
@@ -679,10 +675,10 @@ fn handler_loop(shared: &Shared, completions: &Completions) {
     }
 }
 
-/// Runs one request through the routing table, preserving the thread
-/// core's trace/metrics contract: root span based at request arrival,
-/// `read` / `queue-wait` / `handle{parse,compile,write}` children whose
-/// durations sum to the trace total.
+/// Runs one request through the routing table under the trace/metrics
+/// contract: root span based at request arrival, `read` / `queue-wait` /
+/// `handle{parse,compile,write}` children whose durations sum to the
+/// trace total.
 fn handle_job(shared: &Shared, job: Job, picked_at: Instant, depth: usize) -> Completion {
     let Job {
         conn,

@@ -1,19 +1,17 @@
-//! A deliberately small HTTP/1.1 implementation over `std::net`.
+//! A deliberately small HTTP/1.1 implementation for the event core: an
+//! incremental request parser and a fixed-length response writer.
 //!
 //! Enough of RFC 7230 for a loopback/LAN compilation service and its load
 //! generator: request line + headers + `Content-Length` bodies, keep-alive
-//! connections, and fixed-length responses. Not implemented (requests
-//! using them are rejected with a 4xx, never mis-parsed): chunked
-//! transfer encoding, trailers, multi-line headers, and pipelining ahead
-//! of a response.
+//! connections, pipelining, and fixed-length responses. Not implemented
+//! (requests using them are rejected with a 4xx, never mis-parsed):
+//! chunked transfer encoding, trailers, and multi-line headers.
 //!
 //! Limits are explicit and enforced before allocation: 16 KiB of request
 //! head, 4 MiB of body ([`MAX_HEAD_BYTES`], [`MAX_BODY_BYTES`]).
 
 use std::collections::HashMap;
-use std::io::{BufRead, BufReader, Write};
-use std::net::TcpStream;
-use std::time::Instant;
+use std::io::Write;
 
 /// Maximum bytes of request line + headers.
 pub const MAX_HEAD_BYTES: usize = 16 * 1024;
@@ -28,6 +26,8 @@ pub struct Request {
     pub method: String,
     /// Request target as sent (path + optional query).
     pub path: String,
+    /// Protocol version as sent (`HTTP/1.0`, `HTTP/1.1`, …).
+    pub version: String,
     /// Headers with lowercased names; later duplicates overwrite.
     pub headers: HashMap<String, String>,
     /// The body (empty when none).
@@ -35,82 +35,34 @@ pub struct Request {
 }
 
 impl Request {
-    /// `true` when the client asked to keep the connection open
-    /// (HTTP/1.1 default; `Connection: close` opts out).
+    /// `true` when the connection persists after this request (RFC 7230
+    /// §6.3): by default from HTTP/1.1 on, where `Connection: close` opts
+    /// out; for HTTP/1.0 only when the request says `Connection:
+    /// keep-alive`.
     pub fn keep_alive(&self) -> bool {
-        !matches!(
-            self.headers.get("connection").map(|s| s.as_str()),
-            Some(c) if c.eq_ignore_ascii_case("close")
-        )
+        let connection_is = |token: &str| {
+            self.headers
+                .get("connection")
+                .is_some_and(|c| c.eq_ignore_ascii_case(token))
+        };
+        if self.version == "HTTP/1.0" {
+            connection_is("keep-alive")
+        } else {
+            !connection_is("close")
+        }
     }
 }
 
 /// Why a request could not be read.
 #[derive(Debug)]
 pub enum ReadError {
-    /// The peer closed before sending a request — normal end of a
-    /// keep-alive connection.
-    Closed,
-    /// Socket error (including read timeouts).
-    Io(std::io::Error),
     /// The bytes were not a well-formed request this server accepts. The
     /// payload is the status + message to answer with.
     Bad(u16, &'static str),
 }
 
-impl From<std::io::Error> for ReadError {
-    fn from(e: std::io::Error) -> Self {
-        ReadError::Io(e)
-    }
-}
-
-/// Reads one request's line + headers — not the body — returning the
-/// request (empty body) and the declared `Content-Length`. The shed path
-/// uses this directly so a rejected request never costs a body read.
-///
-/// `deadline` bounds the **whole** head read, not one syscall: the
-/// socket's `SO_RCVTIMEO` restarts on every byte, so a drip-feeding
-/// client could otherwise hold the reader forever (slow loris). Reads go
-/// through `fill_buf` with a deadline check between syscalls, so the
-/// total wait is bounded by `deadline` plus one socket timeout; an
-/// expired deadline is answered `408`.
-pub fn read_head(
-    r: &mut BufReader<TcpStream>,
-    deadline: Option<Instant>,
-) -> Result<(Request, usize), ReadError> {
-    // Request line.
-    let line = read_line(r, true, deadline)?;
-    let (method, path) = parse_request_line(&line)?;
-
-    // Headers.
-    let mut headers = HashMap::new();
-    let mut head_bytes = line.len();
-    loop {
-        let line = read_line(r, false, deadline)?;
-        head_bytes += line.len() + 2;
-        if head_bytes > MAX_HEAD_BYTES {
-            return Err(ReadError::Bad(431, "request head too large"));
-        }
-        if line.is_empty() {
-            break;
-        }
-        parse_header_line(&line, &mut headers)?;
-    }
-
-    let len = body_len_of(&headers)?;
-    Ok((
-        Request {
-            method,
-            path,
-            headers,
-            body: Vec::new(),
-        },
-        len,
-    ))
-}
-
-/// Parses `METHOD PATH HTTP/1.x` into `(method, path)`.
-fn parse_request_line(line: &str) -> Result<(String, String), ReadError> {
+/// Parses `METHOD PATH HTTP/1.x` into `(method, path, version)`.
+fn parse_request_line(line: &str) -> Result<(String, String, String), ReadError> {
     let mut parts = line.split_whitespace();
     let (method, path, version) = match (parts.next(), parts.next(), parts.next(), parts.next()) {
         (Some(m), Some(p), Some(v), None) => (m.to_string(), p.to_string(), v),
@@ -119,7 +71,7 @@ fn parse_request_line(line: &str) -> Result<(String, String), ReadError> {
     if !version.starts_with("HTTP/1.") {
         return Err(ReadError::Bad(505, "only HTTP/1.x is supported"));
     }
-    Ok((method, path))
+    Ok((method, path, version.to_string()))
 }
 
 /// Parses one `Name: value` header line into `headers` (name lowercased).
@@ -163,13 +115,12 @@ fn body_len_of(headers: &HashMap<String, String>) -> Result<usize, ReadError> {
 
 /// Incremental HTTP/1.1 request parser for the event-driven core.
 ///
-/// The blocking reader above pulls bytes on demand; the event core gets
-/// bytes whenever the socket is readable, in whatever segmentation TCP
-/// delivered, so this parser accepts arbitrary splits: feed bytes with
-/// [`RequestParser::feed`], then drain complete requests with
-/// [`RequestParser::next_request`] (several per feed when the client
-/// pipelines). Limits ([`MAX_HEAD_BYTES`], [`MAX_BODY_BYTES`]) and
-/// rejection semantics match the blocking parser — an `Err` means the
+/// The event core gets bytes whenever the socket is readable, in
+/// whatever segmentation TCP delivered, so this parser accepts arbitrary
+/// splits: feed bytes with [`RequestParser::feed`], then drain complete
+/// requests with [`RequestParser::next_request`] (several per feed when
+/// the client pipelines). A request is rejected as soon as it is known to
+/// exceed [`MAX_HEAD_BYTES`] or [`MAX_BODY_BYTES`]; an `Err` means the
 /// connection is unrecoverable (framing is lost) and must be answered
 /// and closed.
 #[derive(Default)]
@@ -216,14 +167,14 @@ impl RequestParser {
             }
             let head = std::str::from_utf8(&self.buf[..head_end])
                 .map_err(|_| ReadError::Bad(400, "non-UTF-8 request head"))?;
-            // Lines may end in CRLF or bare LF, matching the blocking
-            // reader; the terminating empty line is not iterated because
-            // `head_end` excludes the blank-line terminator.
+            // Lines may end in CRLF or bare LF; the terminating empty
+            // line is not iterated because `head_end` excludes the
+            // blank-line terminator.
             let mut lines = head
                 .split('\n')
                 .map(|l| l.strip_suffix('\r').unwrap_or(l))
                 .filter(|l| !l.is_empty());
-            let (method, path) =
+            let (method, path, version) =
                 parse_request_line(lines.next().unwrap_or_default())?;
             let mut headers = HashMap::new();
             for line in lines {
@@ -236,6 +187,7 @@ impl RequestParser {
                 Request {
                     method,
                     path,
+                    version,
                     headers,
                     body: Vec::new(),
                 },
@@ -279,81 +231,6 @@ fn terminator_len(buf: &[u8], head_end: usize) -> usize {
     } else {
         1
     }
-}
-
-/// Reads one full request (head + `Content-Length` body). Deadline
-/// semantics as in [`read_head`].
-pub fn read_request(
-    r: &mut BufReader<TcpStream>,
-    deadline: Option<Instant>,
-) -> Result<Request, ReadError> {
-    let (mut req, len) = read_head(r, deadline)?;
-    let mut body = Vec::with_capacity(len.min(64 * 1024));
-    while body.len() < len {
-        check_deadline(deadline)?;
-        let avail = r.fill_buf()?;
-        if avail.is_empty() {
-            return Err(ReadError::Bad(400, "body shorter than content-length"));
-        }
-        let take = avail.len().min(len - body.len());
-        body.extend_from_slice(&avail[..take]);
-        r.consume(take);
-    }
-    req.body = body;
-    Ok(req)
-}
-
-fn check_deadline(deadline: Option<Instant>) -> Result<(), ReadError> {
-    match deadline {
-        Some(d) if Instant::now() >= d => Err(ReadError::Bad(408, "request read timed out")),
-        _ => Ok(()),
-    }
-}
-
-/// Reads one CRLF- (or LF-) terminated line without its terminator.
-/// `at_start` distinguishes "peer closed between requests" (normal) from
-/// "peer closed mid-request" (an error). The deadline is checked between
-/// `fill_buf` syscalls (see [`read_request`]).
-fn read_line(
-    r: &mut BufReader<TcpStream>,
-    at_start: bool,
-    deadline: Option<Instant>,
-) -> Result<String, ReadError> {
-    let mut buf = Vec::new();
-    loop {
-        if !(at_start && buf.is_empty()) {
-            // Mid-request only: the wait for a request to *start* is the
-            // socket timeout's job (idle keep-alive), not the deadline's.
-            check_deadline(deadline)?;
-        }
-        let avail = r.fill_buf()?;
-        if avail.is_empty() {
-            return if at_start && buf.is_empty() {
-                Err(ReadError::Closed)
-            } else {
-                Err(ReadError::Bad(400, "connection closed mid-request"))
-            };
-        }
-        match avail.iter().position(|&b| b == b'\n') {
-            Some(pos) => {
-                buf.extend_from_slice(&avail[..pos]);
-                r.consume(pos + 1);
-                break;
-            }
-            None => {
-                buf.extend_from_slice(avail);
-                let n = avail.len();
-                r.consume(n);
-            }
-        }
-        if buf.len() > MAX_HEAD_BYTES {
-            return Err(ReadError::Bad(431, "request line too long"));
-        }
-    }
-    if buf.last() == Some(&b'\r') {
-        buf.pop();
-    }
-    String::from_utf8(buf).map_err(|_| ReadError::Bad(400, "non-UTF-8 request head"))
 }
 
 /// Human phrase for the status codes this server emits.
@@ -430,100 +307,6 @@ pub fn write_error_with(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::net::{TcpListener, TcpStream};
-
-    /// Feeds `bytes` through a real loopback socket and parses them.
-    fn parse_bytes(bytes: &[u8]) -> Result<Request, ReadError> {
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let bytes = bytes.to_vec();
-        let writer = std::thread::spawn(move || {
-            let mut s = TcpStream::connect(addr).unwrap();
-            s.write_all(&bytes).unwrap();
-        });
-        let (stream, _) = listener.accept().unwrap();
-        let out = read_request(&mut BufReader::new(stream), None);
-        writer.join().unwrap();
-        out
-    }
-
-    #[test]
-    fn parses_post_with_body() {
-        let req = parse_bytes(
-            b"POST /v1/compile HTTP/1.1\r\nHost: x\r\nContent-Length: 4\r\n\r\nabcd",
-        )
-        .unwrap();
-        assert_eq!(req.method, "POST");
-        assert_eq!(req.path, "/v1/compile");
-        assert_eq!(req.body, b"abcd");
-        assert!(req.keep_alive(), "HTTP/1.1 defaults to keep-alive");
-    }
-
-    #[test]
-    fn connection_close_is_honored() {
-        let req =
-            parse_bytes(b"GET /healthz HTTP/1.1\r\nConnection: Close\r\n\r\n").unwrap();
-        assert!(!req.keep_alive());
-    }
-
-    #[test]
-    fn eof_before_request_is_closed() {
-        assert!(matches!(parse_bytes(b"").unwrap_err(), ReadError::Closed));
-    }
-
-    #[test]
-    fn malformed_heads_are_4xx() {
-        for (bytes, want) in [
-            (&b"NONSENSE\r\n\r\n"[..], 400),
-            (&b"GET / HTTP/2\r\n\r\n"[..], 505),
-            (&b"GET / HTTP/1.1\r\nBad Header\r\n\r\n"[..], 400),
-            (&b"POST / HTTP/1.1\r\nContent-Length: nope\r\n\r\n"[..], 400),
-            (&b"POST / HTTP/1.1\r\nContent-Length: 99\r\n\r\nshort"[..], 400),
-            (&b"POST / HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n"[..], 501),
-        ] {
-            match parse_bytes(bytes) {
-                Err(ReadError::Bad(status, _)) => assert_eq!(status, want, "{bytes:?}"),
-                other => panic!("{bytes:?} gave {other:?}"),
-            }
-        }
-    }
-
-    #[test]
-    fn drip_fed_request_hits_the_deadline() {
-        // A slow-loris client trickling bytes restarts the socket timeout
-        // on every read; the overall deadline must still cut it off.
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let writer = std::thread::spawn(move || {
-            let mut s = TcpStream::connect(addr).unwrap();
-            for chunk in [&b"GET /he"[..], b"al", b"thz HT", b"TP/1.1"] {
-                if s.write_all(chunk).is_err() {
-                    return; // reader gave up, as intended
-                }
-                std::thread::sleep(std::time::Duration::from_millis(120));
-            }
-        });
-        let (stream, _) = listener.accept().unwrap();
-        stream
-            .set_read_timeout(Some(std::time::Duration::from_secs(5)))
-            .unwrap();
-        let deadline = Instant::now() + std::time::Duration::from_millis(250);
-        let out = read_request(&mut BufReader::new(stream), Some(deadline));
-        match out {
-            Err(ReadError::Bad(408, _)) => {}
-            other => panic!("expected 408 deadline cut-off, got {other:?}"),
-        }
-        writer.join().unwrap();
-    }
-
-    #[test]
-    fn oversized_body_is_413() {
-        let head = format!("POST / HTTP/1.1\r\nContent-Length: {}\r\n\r\n", MAX_BODY_BYTES + 1);
-        match parse_bytes(head.as_bytes()) {
-            Err(ReadError::Bad(413, _)) => {}
-            other => panic!("expected 413, got {other:?}"),
-        }
-    }
 
     /// Feeds `bytes` into a [`RequestParser`] one byte at a time and
     /// collects every complete request — the harshest possible TCP
@@ -545,19 +328,21 @@ mod tests {
     #[test]
     fn incremental_parser_handles_every_route_byte_at_a_time() {
         // One wire image per route, including bodies that straddle the
-        // header/body split (inevitable when fed byte-at-a-time).
+        // header/body split (inevitable when fed byte-at-a-time), plus
+        // the keep-alive decision each request carries.
         let compile_body = r#"{"theta": 0.5, "epsilon": 1e-2}"#;
         let batch_body = r#"{"items": [{"theta": 0.1}]}"#;
-        let cases: Vec<(String, &str, &str, &[u8])> = vec![
-            ("GET /healthz HTTP/1.1\r\nHost: t\r\n\r\n".into(), "GET", "/healthz", b""),
-            ("GET /metrics HTTP/1.1\r\n\r\n".into(), "GET", "/metrics", b""),
+        let cases: Vec<(String, &str, &str, &[u8], bool)> = vec![
+            ("GET /healthz HTTP/1.1\r\nHost: t\r\n\r\n".into(), "GET", "/healthz", b"", true),
+            ("GET /metrics HTTP/1.1\r\n\r\n".into(), "GET", "/metrics", b"", true),
             (
                 "GET /debug/traces?limit=2 HTTP/1.1\r\nHost: t\r\n\r\n".into(),
                 "GET",
                 "/debug/traces?limit=2",
                 b"",
+                true,
             ),
-            ("GET /debug/profile HTTP/1.1\r\n\r\n".into(), "GET", "/debug/profile", b""),
+            ("GET /debug/profile HTTP/1.1\r\n\r\n".into(), "GET", "/debug/profile", b"", true),
             (
                 format!(
                     "POST /v1/compile HTTP/1.1\r\nContent-Type: application/json\r\nContent-Length: {}\r\n\r\n{compile_body}",
@@ -566,6 +351,7 @@ mod tests {
                 "POST",
                 "/v1/compile",
                 compile_body.as_bytes(),
+                true,
             ),
             (
                 format!(
@@ -575,14 +361,23 @@ mod tests {
                 "POST",
                 "/v1/batch",
                 batch_body.as_bytes(),
+                true,
             ),
+            // `Connection: close` opts out in any case.
+            ("GET /healthz HTTP/1.1\r\nConnection: Close\r\n\r\n".into(), "GET", "/healthz", b"", false),
+            // HTTP/1.0 closes unless the client asks for keep-alive, in
+            // any case.
+            ("GET /healthz HTTP/1.0\r\n\r\n".into(), "GET", "/healthz", b"", false),
+            ("GET /healthz HTTP/1.0\r\nConnection: Keep-Alive\r\n\r\n".into(), "GET", "/healthz", b"", true),
+            ("GET /healthz HTTP/1.0\r\nConnection: keep-alive\r\n\r\n".into(), "GET", "/healthz", b"", true),
         ];
-        for (wire, method, path, body) in cases {
+        for (wire, method, path, body, keep_alive) in cases {
             let got = parse_byte_at_a_time(wire.as_bytes()).unwrap();
             assert_eq!(got.len(), 1, "{wire:?}");
             assert_eq!(got[0].method, method);
             assert_eq!(got[0].path, path);
             assert_eq!(got[0].body, body);
+            assert_eq!(got[0].keep_alive(), keep_alive, "{wire:?}");
         }
     }
 

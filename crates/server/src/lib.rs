@@ -6,15 +6,15 @@
 //! circuits to Clifford+T and share one process-wide synthesis cache with
 //! every other client. The serving-layer concerns live here:
 //!
-//! * [`service`] — core selection ([`CoreKind`]), shared state, 429
-//!   backpressure, graceful draining shutdown, and cache snapshot
-//!   persistence (warm start on boot, save on shutdown); also the
-//!   blocking thread-per-connection fallback core.
-//! * `event` — the default (Linux) event-driven core: one nonblocking
-//!   epoll readiness loop owning every connection (keep-alive,
-//!   pipelining, idle timeouts, per-connection state machines), bridged
-//!   to handler threads over a bounded dispatch queue with an eventfd
-//!   wakeup.
+//! * [`service`] — configuration, shared state, graceful draining
+//!   shutdown, and cache snapshot persistence (warm start on boot, save
+//!   on shutdown).
+//! * `event` — the I/O core (Linux only): one nonblocking epoll
+//!   readiness loop owning every connection (keep-alive, pipelining,
+//!   idle timeouts, 429 backpressure, per-connection state machines),
+//!   bridged to handler threads over a bounded dispatch queue with an
+//!   eventfd wakeup. Off Linux, [`Server::start`] fails with
+//!   [`std::io::ErrorKind::Unsupported`].
 //! * [`sys`] — the dependency-free raw-syscall wrappers (`epoll`,
 //!   `eventfd`) behind the event core; the crate's only unsafe module.
 //! * [`routes`] — the API: `POST /v1/compile`, `POST /v1/batch`,
@@ -44,6 +44,10 @@
 //! count, because both are the same `Engine` call (verified by this
 //! crate's loopback tests).
 
+// Off Linux there is no I/O core, so the routes it would drive are
+// unreachable.
+#![cfg_attr(not(target_os = "linux"), allow(dead_code))]
+
 pub mod bench;
 pub mod client;
 #[cfg(target_os = "linux")]
@@ -62,4 +66,4 @@ pub use client::{Conn, Response};
 pub use fuzz::{FuzzConfig, FuzzReport, Harness};
 pub use metrics::{Endpoint, Metrics};
 pub use queue::BoundedQueue;
-pub use service::{CoreKind, Server, ServerConfig, ServerHandle, ShutdownReport};
+pub use service::{Server, ServerConfig, ServerHandle, ShutdownReport};

@@ -27,8 +27,8 @@
 //!   check the circuit and pipeline spec before compiling — lint
 //!   *errors* fail the request with a 400, warnings ride into the
 //!   report's `"diagnostics"`; counted in `/metrics` as
-//!   `trasyn_lint_{error,warning}_total`), and the deprecated
-//!   `"transpile"` boolean, an alias for pipeline `"default"`/`"none"`.
+//!   `trasyn_lint_{error,warning}_total`). The removed `"transpile"`
+//!   boolean is a 400 that names `"pipeline"` as its replacement.
 //!   Responds with the item report — including the per-pass lowering
 //!   stats and the `"certificate"` when verification ran — plus the
 //!   compiled circuit as `"qasm"`: the same circuit `trasyn-compile`
@@ -324,13 +324,16 @@ fn parse_item(v: &Value, shared: &Shared, index: usize) -> Result<BatchItem, Api
             .ok_or_else(|| bad(format!("item {index}: \"name\" must be a string")))?
             .to_string(),
     };
-    let pipeline = match (v.get("pipeline"), v.get("transpile")) {
-        (Some(_), Some(_)) => {
-            return Err(bad(format!(
-                "item {index}: give \"pipeline\" or the deprecated \"transpile\", not both"
-            )))
-        }
-        (Some(p), None) => {
+    // Unknown keys are ignored, so the removed boolean alias must be
+    // rejected by name: ignoring it would silently run the default
+    // pipeline for a request that asked for none.
+    if v.get("transpile").is_some() {
+        return Err(bad(format!(
+            "item {index}: \"transpile\" was removed; use \"pipeline\": \"default\" or \"none\""
+        )));
+    }
+    let pipeline = match v.get("pipeline") {
+        Some(p) => {
             let spec = p
                 .as_str()
                 .ok_or_else(|| bad(format!("item {index}: \"pipeline\" must be a string")))?;
@@ -342,15 +345,7 @@ fn parse_item(v: &Value, shared: &Shared, index: usize) -> Result<BatchItem, Api
                 )])),
             })?
         }
-        // Deprecated boolean alias from the pre-pipeline API.
-        (None, Some(t)) => match t.as_bool() {
-            Some(true) => PipelineSpec::default(),
-            Some(false) => PipelineSpec::none(),
-            None => {
-                return Err(bad(format!("item {index}: \"transpile\" must be a boolean")))
-            }
-        },
-        (None, None) => default_pipeline,
+        None => default_pipeline,
     };
     let verify = match v.get("verify") {
         None => false,

@@ -1,108 +1,50 @@
-//! The compilation server: core selection, shared state, request
-//! routing, and graceful shutdown.
+//! The compilation server: shared state, startup, and graceful shutdown.
 //!
-//! # Two cores
-//!
-//! [`ServerConfig::core`] picks the I/O architecture; both speak the
-//! same HTTP/1.1 and produce bit-identical responses.
-//!
-//! * [`CoreKind::Event`] (default on Linux) — the event-driven core in
-//!   `crate::event`: one nonblocking epoll readiness loop owns every
-//!   connection (keep-alive, pipelining, idle timeouts), and hands
-//!   parsed requests to `http_workers` handler threads over a bounded
-//!   dispatch queue. Slow or idle clients cost a buffered connection,
-//!   never a handler; tens of thousands of concurrent connections fit in
-//!   one thread's epoll set.
-//!
-//! * [`CoreKind::Thread`] (fallback, and the default off-Linux) — the
-//!   historic blocking design:
-//!
-//! ```text
-//! accept thread ──try_push──► BoundedQueue ──pop──► N worker threads
-//!      │                          │                      │
-//!      └── full → 429 + close     └── depth gauge        └── HTTP/1.1
-//!                                                          keep-alive,
-//!                                                          Engine calls
-//! ```
-//!
-//! One thread accepts connections and pushes them into a
-//! [`BoundedQueue`]; when the queue is full the connection is answered
-//! `429 Too Many Requests` and closed immediately (backpressure — the
-//! server sheds load instead of buffering unbounded work). Worker threads
-//! pop connections and serve requests until the peer closes, a read
-//! times out, or shutdown begins.
+//! The I/O core is the event-driven core in `crate::event`: one
+//! nonblocking epoll readiness loop owns every connection (keep-alive,
+//! pipelining, idle timeouts) and hands parsed requests to
+//! `http_workers` handler threads over a bounded dispatch queue. Slow or
+//! idle clients cost a buffered connection, never a handler; tens of
+//! thousands of concurrent connections fit in one thread's epoll set.
+//! The core needs Linux: elsewhere [`Server::start`] fails with
+//! [`std::io::ErrorKind::Unsupported`].
 //!
 //! # Graceful shutdown
 //!
-//! [`ServerHandle::shutdown`] stops accepting, serves everything already
-//! accepted (queued connections on the thread core, in-flight requests
-//! plus buffered responses on the event core), joins all threads, and
+//! [`ServerHandle::shutdown`] stops accepting, finishes in-flight
+//! requests and flushes their buffered responses, joins all threads, and
 //! finally — when a cache file is configured — saves a
 //! [`engine::snapshot`] so the next boot starts warm.
 
-use crate::http::{self, ReadError};
-use crate::metrics::{Endpoint, Metrics};
+use crate::metrics::Metrics;
+#[cfg(target_os = "linux")]
 use crate::queue::BoundedQueue;
-use crate::routes;
 use engine::snapshot::{self, WarmStart};
 use engine::{BackendKind, Engine};
-use std::io::BufReader;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::SocketAddr;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
-
-/// Which I/O core serves connections. Both cores produce bit-identical
-/// responses; they differ only in how connections map to threads.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum CoreKind {
-    /// Nonblocking epoll readiness loop + handler pool (Linux only; see
-    /// `crate::event`). Scales to tens of thousands of concurrent
-    /// connections.
-    Event,
-    /// Blocking accept queue + thread-per-connection workers. The
-    /// portable fallback, kept selectable (`--thread-core`) during the
-    /// transition.
-    Thread,
-}
-
-impl Default for CoreKind {
-    fn default() -> Self {
-        if cfg!(target_os = "linux") {
-            CoreKind::Event
-        } else {
-            CoreKind::Thread
-        }
-    }
-}
+use std::time::Duration;
 
 /// Server configuration (everything except the engine itself).
 #[derive(Clone, Debug)]
 pub struct ServerConfig {
-    /// Which I/O core serves connections (event-driven epoll loop on
-    /// Linux by default; requesting [`CoreKind::Event`] elsewhere falls
-    /// back to the thread core with a warning).
-    pub core: CoreKind,
-    /// HTTP worker threads. Thread core: each serves one connection at a
-    /// time. Event core: each runs one request at a time (connections
+    /// Handler threads; each runs one request at a time (connections
     /// live in the event loop).
     pub http_workers: usize,
-    /// Bounded queue depth; overflow is answered 429. Thread core: the
-    /// accept queue (units: connections). Event core: the dispatch queue
-    /// (units: requests — the pending-request cap).
+    /// Dispatch-queue depth in requests: a request parsed while the
+    /// queue is full is answered 429 and its connection closed.
     pub queue_depth: usize,
-    /// Thread core: per-read socket timeout (bounds how long an idle
-    /// keep-alive connection can hold a worker). Event core: the
-    /// whole-request read deadline — partial requests older than this
-    /// are answered 408 (the slowloris bound).
+    /// Whole-request read deadline: a partial request older than this is
+    /// answered 408 (the slowloris bound).
     pub read_timeout: Duration,
-    /// Event core only: connections accepted beyond this are answered
-    /// 429 and closed immediately (the connection-count cap).
+    /// Connections accepted beyond this are answered 429 and closed
+    /// immediately (the connection-count cap).
     pub max_conns: usize,
-    /// Event core only: idle keep-alive connections (no partial request,
-    /// nothing in flight) are closed after this long.
+    /// Idle keep-alive connections (no partial request, nothing in
+    /// flight) are closed after this long.
     pub keepalive_timeout: Duration,
     /// Epsilon used when a request does not specify one.
     pub default_epsilon: f64,
@@ -121,7 +63,6 @@ pub struct ServerConfig {
 impl Default for ServerConfig {
     fn default() -> Self {
         ServerConfig {
-            core: CoreKind::default(),
             http_workers: 4,
             queue_depth: 64,
             read_timeout: Duration::from_secs(5),
@@ -135,22 +76,12 @@ impl Default for ServerConfig {
     }
 }
 
-/// A connection waiting in the accept queue, stamped so queue wait can
-/// be measured (and traced) from the moment the accept loop saw it.
-pub(crate) struct QueuedConn {
-    pub(crate) stream: TcpStream,
-    pub(crate) accepted_at: Instant,
-}
-
-/// Shared state every worker sees.
+/// Shared state the event loop and every handler see.
 pub(crate) struct Shared {
     pub(crate) engine: Arc<Engine>,
     pub(crate) metrics: Metrics,
     pub(crate) tracer: trace::Tracer,
-    /// Thread core's accept queue (unused but present under the event
-    /// core, so `/metrics` renders one coherent depth either way).
-    pub(crate) queue: BoundedQueue<QueuedConn>,
-    /// Event core's request dispatch queue.
+    /// Parsed requests waiting for a handler thread.
     #[cfg(target_os = "linux")]
     pub(crate) dispatch: BoundedQueue<crate::event::Job>,
     pub(crate) shutdown: AtomicBool,
@@ -158,16 +89,15 @@ pub(crate) struct Shared {
 }
 
 impl Shared {
-    /// Live depth of whichever queue the active core uses (the inactive
-    /// one is always empty).
+    /// Live depth of the dispatch queue.
     pub(crate) fn queue_depth(&self) -> usize {
         #[cfg(target_os = "linux")]
         {
-            self.queue.len() + self.dispatch.len()
+            self.dispatch.len()
         }
         #[cfg(not(target_os = "linux"))]
         {
-            self.queue.len()
+            0
         }
     }
 }
@@ -181,23 +111,13 @@ pub struct Server;
 pub struct ServerHandle {
     addr: SocketAddr,
     shared: Arc<Shared>,
-    core: CoreThreads,
+    looper: JoinHandle<()>,
+    handlers: Vec<JoinHandle<()>>,
+    /// Wakes the event loop out of `epoll_wait` on shutdown.
+    #[cfg(target_os = "linux")]
+    wake: Arc<crate::event::Completions>,
     /// How the warm start went (Absent when no cache file configured).
     pub warm_start: WarmStart,
-}
-
-/// The running threads of whichever core was started.
-enum CoreThreads {
-    Thread {
-        accept: Option<JoinHandle<()>>,
-        workers: Vec<JoinHandle<()>>,
-    },
-    #[cfg(target_os = "linux")]
-    Event {
-        looper: Option<JoinHandle<()>>,
-        handlers: Vec<JoinHandle<()>>,
-        wake: Arc<crate::event::Completions>,
-    },
 }
 
 /// What [`ServerHandle::shutdown`] observed.
@@ -205,7 +125,7 @@ enum CoreThreads {
 pub struct ShutdownReport {
     /// Requests handled over the server's lifetime.
     pub requests: u64,
-    /// Connections shed with 429.
+    /// Requests and connections shed with 429.
     pub rejected: u64,
     /// Entries saved to the cache file (`None` when not configured;
     /// `Some(Err)` contains the save error message).
@@ -214,14 +134,15 @@ pub struct ShutdownReport {
 
 impl Server {
     /// Binds `addr` (use port 0 for an ephemeral port), warm-starts the
-    /// cache when configured, and spawns the accept loop plus
-    /// `config.http_workers` workers.
+    /// cache when configured, and spawns the event loop plus
+    /// `config.http_workers` handler threads.
+    #[cfg(target_os = "linux")]
     pub fn start(
         addr: &str,
-        mut config: ServerConfig,
+        config: ServerConfig,
         engine: Arc<Engine>,
     ) -> std::io::Result<ServerHandle> {
-        let listener = TcpListener::bind(addr)?;
+        let listener = std::net::TcpListener::bind(addr)?;
         let local = listener.local_addr()?;
 
         let warm_start = match &config.cache_file {
@@ -229,64 +150,38 @@ impl Server {
             None => WarmStart::Absent,
         };
 
-        if config.core == CoreKind::Event && !cfg!(target_os = "linux") {
-            eprintln!("[server] event core requires Linux epoll; falling back to the thread core");
-            config.core = CoreKind::Thread;
-        }
-
         let shared = Arc::new(Shared {
             engine,
             metrics: Metrics::new(),
             tracer: trace::Tracer::new(config.trace.clone()),
-            queue: BoundedQueue::new(config.queue_depth),
-            #[cfg(target_os = "linux")]
             dispatch: BoundedQueue::new(config.queue_depth),
             shutdown: AtomicBool::new(false),
             config,
         });
-
-        let core = match shared.config.core {
-            #[cfg(target_os = "linux")]
-            CoreKind::Event => {
-                let (looper, handlers, wake) =
-                    crate::event::start(listener, &shared)?;
-                CoreThreads::Event {
-                    looper: Some(looper),
-                    handlers,
-                    wake,
-                }
-            }
-            #[cfg(not(target_os = "linux"))]
-            CoreKind::Event => unreachable!("event core falls back to thread core off-Linux"),
-            CoreKind::Thread => {
-                let mut workers = Vec::with_capacity(shared.config.http_workers.max(1));
-                for i in 0..shared.config.http_workers.max(1) {
-                    let shared = Arc::clone(&shared);
-                    workers.push(
-                        std::thread::Builder::new()
-                            .name(format!("http-worker-{i}"))
-                            .spawn(move || worker_loop(&shared))?,
-                    );
-                }
-                let accept = {
-                    let shared = Arc::clone(&shared);
-                    std::thread::Builder::new()
-                        .name("http-accept".into())
-                        .spawn(move || accept_loop(&listener, &shared))?
-                };
-                CoreThreads::Thread {
-                    accept: Some(accept),
-                    workers,
-                }
-            }
-        };
+        let (looper, handlers, wake) = crate::event::start(listener, &shared)?;
 
         Ok(ServerHandle {
             addr: local,
             shared,
-            core,
+            looper,
+            handlers,
+            wake,
             warm_start,
         })
+    }
+
+    /// The event core needs epoll, so off Linux there is no server:
+    /// always [`std::io::ErrorKind::Unsupported`].
+    #[cfg(not(target_os = "linux"))]
+    pub fn start(
+        _addr: &str,
+        _config: ServerConfig,
+        _engine: Arc<Engine>,
+    ) -> std::io::Result<ServerHandle> {
+        Err(std::io::Error::new(
+            std::io::ErrorKind::Unsupported,
+            "trasyn-server needs Linux (epoll)",
+        ))
     }
 }
 
@@ -311,55 +206,23 @@ impl ServerHandle {
         &self.shared.tracer
     }
 
-    /// Graceful shutdown: stop accepting, serve every queued connection,
-    /// finish in-flight requests, join all threads, save the cache
-    /// snapshot when configured.
-    pub fn shutdown(mut self) -> ShutdownReport {
+    /// Graceful shutdown: stop accepting, finish in-flight requests and
+    /// flush their responses, join all threads, save the cache snapshot
+    /// when configured.
+    pub fn shutdown(self) -> ShutdownReport {
         self.shared.shutdown.store(true, Ordering::SeqCst);
-        match &mut self.core {
-            CoreThreads::Thread { accept, workers } => {
-                // Wake the blocking accept() with a throwaway connection.
-                // An unspecified bind IP (0.0.0.0 / ::) is not a
-                // connectable peer address everywhere, so aim the waker
-                // at the loopback of the same family.
-                let mut waker = self.addr;
-                if waker.ip().is_unspecified() {
-                    waker.set_ip(match waker {
-                        SocketAddr::V4(_) => std::net::IpAddr::V4(std::net::Ipv4Addr::LOCALHOST),
-                        SocketAddr::V6(_) => std::net::IpAddr::V6(std::net::Ipv6Addr::LOCALHOST),
-                    });
-                }
-                let _ = TcpStream::connect_timeout(&waker, Duration::from_secs(1));
-                if let Some(a) = accept.take() {
-                    let _ = a.join();
-                }
-                // No new connections can arrive now; close the queue so
-                // workers drain the backlog and exit.
-                self.shared.queue.close();
-                for w in workers.drain(..) {
-                    let _ = w.join();
-                }
-            }
-            #[cfg(target_os = "linux")]
-            CoreThreads::Event {
-                looper,
-                handlers,
-                wake,
-            } => {
-                // The eventfd pops the loop out of epoll_wait; it drains
-                // in-flight requests and buffered responses, then exits.
-                wake.notify();
-                if let Some(l) = looper.take() {
-                    let _ = l.join();
-                }
-                // Every job the loop dispatched has completed (the loop
-                // only exits once all connections are answered), so
-                // closing the queue just releases the handler threads.
-                self.shared.dispatch.close();
-                for h in handlers.drain(..) {
-                    let _ = h.join();
-                }
-            }
+        // The eventfd pops the loop out of epoll_wait; it drains
+        // in-flight requests and buffered responses, then exits.
+        #[cfg(target_os = "linux")]
+        self.wake.notify();
+        let _ = self.looper.join();
+        // Every job the loop dispatched has completed (the loop only
+        // exits once all connections are answered), so closing the queue
+        // just releases the handler threads.
+        #[cfg(target_os = "linux")]
+        self.shared.dispatch.close();
+        for h in self.handlers {
+            let _ = h.join();
         }
         let cache_saved = self.shared.config.cache_file.as_ref().map(|path| {
             snapshot::save_to_file(self.shared.engine.cache(), path)
@@ -369,200 +232,6 @@ impl ServerHandle {
             requests: self.shared.metrics.request_count(),
             rejected: self.shared.metrics.rejected(),
             cache_saved,
-        }
-    }
-}
-
-fn accept_loop(listener: &TcpListener, shared: &Shared) {
-    loop {
-        let Ok((stream, _)) = listener.accept() else {
-            if shared.shutdown.load(Ordering::SeqCst) {
-                return;
-            }
-            // Persistent errors (EMFILE during overload, ENOBUFS, …)
-            // would otherwise busy-spin this thread at 100% CPU.
-            std::thread::sleep(Duration::from_millis(50));
-            continue;
-        };
-        if shared.shutdown.load(Ordering::SeqCst) {
-            // The waker connection (or a raced client during shutdown).
-            return;
-        }
-        let conn = QueuedConn {
-            stream,
-            accepted_at: Instant::now(),
-        };
-        if let Err(conn) = shared.queue.try_push(conn) {
-            // Queue full: shed the connection with 429 right here. This
-            // briefly blocks the accept loop, which under overload is
-            // itself backpressure (the kernel backlog then sheds for us).
-            shed(conn.stream, shared);
-        }
-    }
-}
-
-/// How much of a shed request's body is drained before answering 429
-/// (reduces the chance the close's RST clobbers the response without
-/// letting a large body monopolize the accept thread).
-const SHED_DRAIN_MAX: usize = 64 * 1024;
-
-/// Best-effort 429: read the request *head* only (plus a small bounded
-/// body drain), answer, close. Runs on the accept thread, so everything
-/// is double-bounded — a short socket timeout *and* a whole-read
-/// deadline — because shedding must stay cheap exactly when the server
-/// is overloaded.
-fn shed(stream: TcpStream, shared: &Shared) {
-    shared.metrics.reject();
-    let _ = stream.set_read_timeout(Some(Duration::from_millis(250)));
-    let mut reader = match stream.try_clone() {
-        Ok(s) => BufReader::new(s),
-        Err(_) => return,
-    };
-    let deadline = Instant::now() + Duration::from_millis(500);
-    let endpoint = match http::read_head(&mut reader, Some(deadline)) {
-        Ok((req, body_len)) => {
-            let mut drained = 0usize;
-            while drained < body_len.min(SHED_DRAIN_MAX) && Instant::now() < deadline {
-                match std::io::BufRead::fill_buf(&mut reader) {
-                    Ok([]) | Err(_) => break,
-                    Ok(buf) => {
-                        let n = buf.len().min(body_len - drained);
-                        std::io::BufRead::consume(&mut reader, n);
-                        drained += n;
-                    }
-                }
-            }
-            routes::endpoint_of(&req)
-        }
-        Err(_) => Endpoint::Other,
-    };
-    let mut w = stream;
-    let _ = http::write_error(&mut w, 429, "compile queue full, retry later", false);
-    // Status counters only — no latency sample: the request was shed,
-    // not handled, and must not skew the histogram toward zero exactly
-    // during overload.
-    shared.metrics.count_unhandled(endpoint, 429);
-}
-
-fn worker_loop(shared: &Shared) {
-    while let Some(conn) = shared.queue.pop() {
-        // Sample the queue depth at every pickup: the `/metrics` gauge
-        // only sees scrape instants, this sees every unit of work.
-        shared.metrics.sample_queue_depth(shared.queue.len());
-        // Panic isolation: a bug (or violated backend precondition) while
-        // serving one connection must cost that connection, not silently
-        // retire 1/N of the server's capacity for its whole lifetime.
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            serve_connection(conn, shared);
-        }));
-        if result.is_err() {
-            eprintln!("[server] worker recovered from a panic while serving a connection");
-        }
-    }
-}
-
-/// Whole-request read deadline on worker connections: generous (bodies
-/// are ≤ 4 MiB on loopback/LAN), but finite, so a drip-feeding client
-/// cannot hold a worker past it. Idle keep-alive waits are governed by
-/// the (shorter) socket `read_timeout`, not this.
-const REQUEST_READ_DEADLINE: Duration = Duration::from_secs(10);
-
-fn serve_connection(conn: QueuedConn, shared: &Shared) {
-    let QueuedConn {
-        stream,
-        accepted_at,
-    } = conn;
-    let popped_at = Instant::now();
-    let _ = stream.set_read_timeout(Some(shared.config.read_timeout));
-    let _ = stream.set_nodelay(true);
-    let mut reader = match stream.try_clone() {
-        Ok(s) => BufReader::new(s),
-        Err(_) => return,
-    };
-    let mut writer = stream;
-    let mut first = true;
-    loop {
-        let deadline = Instant::now() + REQUEST_READ_DEADLINE;
-        match http::read_request(&mut reader, Some(deadline)) {
-            Ok(req) => {
-                let read_done = Instant::now();
-                let endpoint = routes::endpoint_of(&req);
-                // Stop honoring keep-alive once shutdown begins: finish
-                // this request, then close.
-                let keep_alive =
-                    req.keep_alive() && !shared.shutdown.load(Ordering::SeqCst);
-                // Queue wait belongs to the *first* request only: later
-                // keep-alive requests were never in the accept queue.
-                let queue_wait_ms = if first {
-                    popped_at.saturating_duration_since(accepted_at).as_secs_f64() * 1e3
-                } else {
-                    0.0
-                };
-                // Trace base: connection accept for the first request
-                // (so queue wait shows up inside the trace), request
-                // read completion after that — idle keep-alive gaps are
-                // the client's time, not this request's.
-                let name = format!("{} {}", req.method, routes::path_of(&req));
-                let base = if first { accepted_at } else { read_done };
-                let ctx = shared.tracer.begin_at(&name, base);
-                let status = match &ctx {
-                    Some(ctx) => {
-                        let root = ctx.root();
-                        if first {
-                            let mut qs = root.child_at("queue-wait", accepted_at, popped_at);
-                            qs.attr("depth", shared.queue.len());
-                            qs.end();
-                            root.child_at("read", popped_at, read_done).end();
-                        }
-                        let mut handle_span = root.child("handle");
-                        let status = routes::respond(
-                            &req,
-                            &mut writer,
-                            shared,
-                            keep_alive,
-                            Some(&handle_span.handle()),
-                        );
-                        handle_span.attr("endpoint", endpoint.label());
-                        handle_span.attr("status", status);
-                        status
-                    }
-                    None => routes::respond(&req, &mut writer, shared, keep_alive, None),
-                };
-                let service_ms = read_done.elapsed().as_secs_f64() * 1e3;
-                shared
-                    .metrics
-                    .observe(endpoint, status, queue_wait_ms, service_ms);
-                match ctx {
-                    Some(ctx) => {
-                        ctx.attr("endpoint", endpoint.label());
-                        ctx.attr("status", status);
-                        ctx.attr("queue_wait_ms", queue_wait_ms);
-                        ctx.attr("service_ms", service_ms);
-                        if shared.tracer.finish(ctx).slow {
-                            shared.metrics.note_slow();
-                        }
-                    }
-                    None => {
-                        // Tracing disabled: the slow counter must still
-                        // count outliers against the configured threshold.
-                        let slow_ms = shared.config.trace.slow_ms;
-                        if slow_ms > 0.0 && queue_wait_ms + service_ms >= slow_ms {
-                            shared.metrics.note_slow();
-                        }
-                    }
-                }
-                first = false;
-                if !keep_alive || status == 500 {
-                    return;
-                }
-            }
-            Err(ReadError::Closed) => return,
-            Err(ReadError::Io(_)) => return, // includes idle-read timeouts
-            Err(ReadError::Bad(status, msg)) => {
-                let _ = http::write_error(&mut writer, status, msg, false);
-                shared.metrics.observe(Endpoint::Other, status, 0.0, 0.0);
-                return;
-            }
         }
     }
 }

@@ -12,7 +12,10 @@
 //!    requests on a connection;
 //! 4. backpressure still sheds with 429 at both layers — the dispatch
 //!    queue (per request, connection closed after) and the open-connection
-//!    cap (at accept, before a byte is read).
+//!    cap (at accept, before a byte is read);
+//! 5. an HTTP/1.0 request without `Connection: keep-alive` is answered
+//!    `Connection: close` and its connection closed right away, not at
+//!    the keep-alive timeout.
 //!
 //! The event core is Linux-only; so is this file.
 
@@ -245,6 +248,31 @@ fn connection_cap_sheds_new_connections_with_429() {
     assert_eq!(status, 200);
 
     assert!(handle.metrics().rejected() >= 1);
+    handle.shutdown();
+}
+
+#[test]
+fn http_1_0_requests_close_without_waiting_for_the_keepalive_timeout() {
+    // RFC 7230 §6.3: an HTTP/1.0 connection persists only when the
+    // request carries `Connection: keep-alive`.
+    let cfg = ServerConfig {
+        keepalive_timeout: Duration::from_secs(5),
+        ..config()
+    };
+    let handle = Server::start("127.0.0.1:0", cfg, engine(1)).unwrap();
+    let mut s = TcpStream::connect(handle.addr()).unwrap();
+    s.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+    let t0 = Instant::now();
+    s.write_all(b"GET /healthz HTTP/1.0\r\n\r\n").unwrap();
+    let mut answer = String::new();
+    s.read_to_string(&mut answer).expect("server answers then closes");
+    let elapsed = t0.elapsed();
+    assert!(answer.starts_with("HTTP/1.1 200 "), "{answer}");
+    assert!(answer.contains("Connection: close\r\n"), "{answer}");
+    assert!(
+        elapsed < Duration::from_secs(2),
+        "EOF after {elapsed:?}; the keep-alive timeout is 5 s"
+    );
     handle.shutdown();
 }
 

@@ -8,6 +8,10 @@
 //! — must flag it, shrink it to the minimal three-instruction repro, and
 //! write a replayable QASM artifact. This is the proof that a green fuzz
 //! run means something.
+//!
+//! The harness's server path needs Linux; so does this file.
+
+#![cfg(target_os = "linux")]
 
 use circuit::pass::PipelineSpec;
 use circuit::Circuit;

@@ -5,6 +5,10 @@
 //! to the reported request latency, the `?min_ms=`/`?limit=` filters
 //! work, the ring keeps the newest traces, and the slow-request
 //! threshold feeds `trasyn_slow_requests_total`.
+//!
+//! The server needs Linux; so does this file.
+
+#![cfg(target_os = "linux")]
 
 use engine::{BackendKind, Engine, GridsynthBackend};
 use server::client::Conn;

@@ -16,7 +16,6 @@
 #   PROFILE=1 scripts/bench_snapshot.sh           # alloc accounting on (--profile)
 #   PROFILE_OUT=profile.json scripts/bench_snapshot.sh
 #       # also save the server's /debug/profile JSON after the run
-#   CORE=thread scripts/bench_snapshot.sh         # thread-per-connection core
 #   SWEEP=500:500:8 scripts/bench_snapshot.sh     # open-loop saturation sweep
 #   OPEN_LOOP=1 RATE=1000 scripts/bench_snapshot.sh
 #       # one open-loop step at a fixed offered rate
@@ -25,9 +24,9 @@
 #       # also record the cache access trace (replay: trasyn-cachesim)
 #
 # Knobs (env): REQUESTS, CONNECTIONS, MIX, SEED, OUT, APPEND, PROFILE,
-# PROFILE_OUT, CORE (event|thread), HTTP_WORKERS, QUEUE_DEPTH, MAX_CONNS,
-# KEEPALIVE_MS, OPEN_LOOP, RATE, SWEEP (START:STEP:COUNT),
-# SWEEP_STEP_SECS, CACHE_POLICY (fifo|lru|2q|freq), CACHE_TRACE.
+# PROFILE_OUT, HTTP_WORKERS, QUEUE_DEPTH, MAX_CONNS, KEEPALIVE_MS,
+# OPEN_LOOP, RATE, SWEEP (START:STEP:COUNT), SWEEP_STEP_SECS,
+# CACHE_POLICY (fifo|lru|2q|freq), CACHE_TRACE.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -39,7 +38,6 @@ OUT="${OUT:-BENCH_server.json}"
 APPEND="${APPEND:-0}"
 PROFILE="${PROFILE:-0}"
 PROFILE_OUT="${PROFILE_OUT:-}"
-CORE="${CORE:-event}"
 HTTP_WORKERS="${HTTP_WORKERS:-4}"
 QUEUE_DEPTH="${QUEUE_DEPTH:-64}"
 MAX_CONNS="${MAX_CONNS:-10240}"
@@ -68,11 +66,6 @@ trap cleanup EXIT
 SERVER_FLAGS=(--cache-policy "$CACHE_POLICY")
 [ "$PROFILE" = "1" ] && SERVER_FLAGS+=(--profile)
 [ -n "$CACHE_TRACE" ] && SERVER_FLAGS+=(--cache-trace "$CACHE_TRACE")
-case "$CORE" in
-    event) SERVER_FLAGS+=(--event-core) ;;
-    thread) SERVER_FLAGS+=(--thread-core) ;;
-    *) echo "error: CORE must be 'event' or 'thread', got '$CORE'" >&2; exit 1 ;;
-esac
 ./target/release/trasyn-server \
     --addr 127.0.0.1:0 --addr-file "$ADDR_FILE" \
     --http-workers "$HTTP_WORKERS" --queue-depth "$QUEUE_DEPTH" \
