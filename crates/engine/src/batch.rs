@@ -9,7 +9,6 @@
 
 use crate::backend::BackendKind;
 use crate::cache::CacheStats;
-use crate::policy::CachePolicy;
 use crate::stats::{PassTotals, WorkTotals};
 use circuit::pass::{PassStats, PipelineSpec};
 use circuit::synthesize::SynthesizedCircuit;
@@ -85,12 +84,6 @@ pub struct BatchRequest {
     /// The items, compiled in order (synthesis itself is pooled across
     /// all items at once).
     pub items: Vec<BatchItem>,
-    /// When set, asserts the eviction policy the engine's shared cache
-    /// must be running; a mismatch rejects the batch with
-    /// `EngineError::CachePolicyMismatch` before any work. `None` (the
-    /// default) accepts whatever the engine was built with — the policy
-    /// is a process-wide deployment choice, not a per-request switch.
-    pub cache_policy: Option<CachePolicy>,
 }
 
 impl BatchRequest {
@@ -102,12 +95,6 @@ impl BatchRequest {
     /// Appends an item, builder style.
     pub fn item(mut self, item: BatchItem) -> Self {
         self.items.push(item);
-        self
-    }
-
-    /// Pins the cache policy this request expects, builder style.
-    pub fn cache_policy(mut self, policy: CachePolicy) -> Self {
-        self.cache_policy = Some(policy);
         self
     }
 }

@@ -1,18 +1,16 @@
-//! `trasyn-cachesim` — the trace-driven cache simulator lab.
+//! `trasyn-cachesim` — the trace-driven cache-sizing lab.
 //!
 //! Replays a `TRC1` access trace (recorded by `trasyn-compile
-//! --cache-trace` or `trasyn-server --cache-trace`) against every
-//! eviction policy × a capacity sweep and reports which configuration
-//! would have served the workload best — picking the policy from data,
-//! not folklore.
+//! --cache-trace` or `trasyn-server --cache-trace`) through the FIFO
+//! cache at a sweep of capacities and reports the hit rate, evictions
+//! and footprint each would have had — sizing `--cache-capacity` from
+//! data, not folklore.
 //!
 //! ```text
 //! trasyn-cachesim --trace FILE [OPTIONS]
 //!
 //! options:
 //!   --trace FILE         TRC1 trace to replay (required)
-//!   --policies LIST      comma-separated subset of fifo,lru,2q,freq
-//!                        (default: all four)
 //!   --capacities LIST    comma-separated capacities in entries
 //!                        (default: recorded/4, recorded, recorded*4)
 //!   --shards N           shard count (default: the recorded count)
@@ -23,6 +21,8 @@
 //!                        recorded configuration only, and exit 1 if the
 //!                        simulated hit/miss sequence diverges from the
 //!                        recorded one (the simulator's self-check).
+//!                        --capacities and --shards are usage errors
+//!                        here, since parity never replays them.
 //!   --json FILE|-        write the machine-readable report to FILE
 //!                        (or stdout with `-`)
 //! ```
@@ -32,13 +32,11 @@
 
 use engine::cachesim::{default_capacity_sweep, simulate, SimMode, SimOutcome};
 use engine::cachetrace::{load_from_file, CacheTrace, EventKind};
-use engine::CachePolicy;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
 struct Options {
     trace: PathBuf,
-    policies: Vec<CachePolicy>,
     capacities: Option<Vec<usize>>,
     shards: Option<usize>,
     mode: SimMode,
@@ -46,14 +44,13 @@ struct Options {
 }
 
 fn usage() -> &'static str {
-    "usage: trasyn-cachesim --trace FILE [--policies fifo,lru,2q,freq] \
-     [--capacities N,N,...] [--shards N] [--mode reference|parity] [--json FILE|-]"
+    "usage: trasyn-cachesim --trace FILE [--capacities N,N,...] [--shards N] \
+     [--mode reference|parity] [--json FILE|-]"
 }
 
 /// `Ok(None)` means `--help` was requested: print usage, exit 0.
 fn parse_args(args: &[String]) -> Result<Option<Options>, String> {
     let mut trace = None;
-    let mut policies = CachePolicy::ALL.to_vec();
     let mut capacities = None;
     let mut shards = None;
     let mut mode = SimMode::Reference;
@@ -67,19 +64,6 @@ fn parse_args(args: &[String]) -> Result<Option<Options>, String> {
         };
         match a.as_str() {
             "--trace" => trace = Some(PathBuf::from(value("--trace")?)),
-            "--policies" => {
-                let v = value("--policies")?;
-                policies = v
-                    .split(',')
-                    .map(|t| {
-                        CachePolicy::parse(t.trim())
-                            .ok_or_else(|| format!("unknown cache policy '{t}' (fifo|lru|2q|freq)"))
-                    })
-                    .collect::<Result<Vec<_>, _>>()?;
-                if policies.is_empty() {
-                    return Err("--policies needs at least one policy".to_string());
-                }
-            }
             "--capacities" => {
                 let v = value("--capacities")?;
                 let caps = v
@@ -113,9 +97,15 @@ fn parse_args(args: &[String]) -> Result<Option<Options>, String> {
         }
     }
     let trace = trace.ok_or_else(|| "--trace is required".to_string())?;
+    if mode == SimMode::Parity && (capacities.is_some() || shards.is_some()) {
+        return Err(
+            "--mode parity replays the recorded capacity and shard count; \
+             drop --capacities/--shards, or sweep them in reference mode"
+                .to_string(),
+        );
+    }
     Ok(Some(Options {
         trace,
-        policies,
         capacities,
         shards,
         mode,
@@ -123,14 +113,12 @@ fn parse_args(args: &[String]) -> Result<Option<Options>, String> {
     }))
 }
 
-/// One result row as a JSON object (schema `trasyn-cachesim/v1`).
+/// One result row as a JSON object (schema `trasyn-cachesim/v2`).
 fn outcome_json(o: &SimOutcome) -> String {
     format!(
-        "{{\"policy\": \"{}\", \"capacity\": {}, \"shards\": {}, \"mode\": \"{}\", \
+        "{{\"capacity\": {}, \"shards\": {}, \"mode\": \"{}\", \
          \"hits\": {}, \"misses\": {}, \"hit_rate\": {:.6}, \"insertions\": {}, \
-         \"evictions\": {}, \"entries\": {}, \"approx_gates\": {}, \
-         \"promotions\": {}, \"demotions\": {}, \"agings\": {}}}",
-        o.policy,
+         \"evictions\": {}, \"entries\": {}, \"approx_gates\": {}}}",
         o.capacity,
         o.shards,
         o.mode,
@@ -141,48 +129,23 @@ fn outcome_json(o: &SimOutcome) -> String {
         o.evictions,
         o.entries,
         o.approx_gates,
-        o.counters.promotions,
-        o.counters.demotions,
-        o.counters.agings,
     )
 }
 
 fn report_json(trace_path: &str, trace: &CacheTrace, mode: SimMode, results: &[SimOutcome]) -> String {
     let rows: Vec<String> = results.iter().map(outcome_json).collect();
-    let recommended = recommend(trace, results);
-    let rec = recommended.map_or("null".to_string(), outcome_json);
     format!(
-        "{{\"schema\": \"trasyn-cachesim/v1\", \"trace\": {{\"file\": \"{}\", \
-         \"policy\": \"{}\", \"shards\": {}, \"capacity\": {}, \"events\": {}, \
-         \"gets\": {}}}, \"mode\": \"{}\", \"results\": [{}], \"recommended\": {}}}\n",
+        "{{\"schema\": \"trasyn-cachesim/v2\", \"trace\": {{\"file\": \"{}\", \
+         \"shards\": {}, \"capacity\": {}, \"events\": {}, \
+         \"gets\": {}}}, \"mode\": \"{}\", \"results\": [{}]}}\n",
         trace_path.replace('\\', "\\\\").replace('"', "\\\""),
-        trace.policy,
         trace.shards,
         trace.capacity,
         trace.events.len(),
         trace.gets(),
         mode,
         rows.join(", "),
-        rec,
     )
-}
-
-/// The recommendation: best hit rate at the recorded capacity (falling
-/// back to the sweep's best overall when the native capacity wasn't
-/// swept); ties prefer the earlier policy in canonical order, i.e. the
-/// simpler one.
-fn recommend<'a>(trace: &CacheTrace, results: &'a [SimOutcome]) -> Option<&'a SimOutcome> {
-    let native: Vec<&SimOutcome> = results
-        .iter()
-        .filter(|o| o.capacity as u64 == trace.capacity)
-        .collect();
-    let pool: Vec<&SimOutcome> = if native.is_empty() {
-        results.iter().collect()
-    } else {
-        native
-    };
-    pool.into_iter()
-        .reduce(|best, o| if o.hit_rate() > best.hit_rate() { o } else { best })
 }
 
 fn main() -> ExitCode {
@@ -208,11 +171,10 @@ fn main() -> ExitCode {
         }
     };
     eprintln!(
-        "[trasyn-cachesim] {}: {} event(s) ({} lookups), recorded policy={} capacity={} shards={}",
+        "[trasyn-cachesim] {}: {} event(s) ({} lookups), recorded capacity={} shards={}",
         opts.trace.display(),
         trace.events.len(),
         trace.gets(),
-        trace.policy,
         trace.capacity,
         trace.shards,
     );
@@ -225,7 +187,6 @@ fn main() -> ExitCode {
         // Parity only means anything under the recorded configuration.
         let sim = simulate(
             &trace,
-            trace.policy,
             trace.capacity as usize,
             trace.shards as usize,
             SimMode::Parity,
@@ -260,21 +221,18 @@ fn main() -> ExitCode {
             .clone()
             .unwrap_or_else(|| default_capacity_sweep(trace.capacity as usize));
         for &capacity in &capacities {
-            for &policy in &opts.policies {
-                results.push(simulate(&trace, policy, capacity, shards, SimMode::Reference));
-            }
+            results.push(simulate(&trace, capacity, shards, SimMode::Reference));
         }
     }
 
     // Human table.
     eprintln!(
-        "  {:<7} {:>10} {:>7} {:>10} {:>10} {:>9} {:>10} {:>9} {:>12}",
-        "policy", "capacity", "shards", "hits", "misses", "hit_rate", "evictions", "entries", "approx_gates"
+        "  {:>10} {:>7} {:>10} {:>10} {:>9} {:>10} {:>9} {:>12}",
+        "capacity", "shards", "hits", "misses", "hit_rate", "evictions", "entries", "approx_gates"
     );
     for o in &results {
         eprintln!(
-            "  {:<7} {:>10} {:>7} {:>10} {:>10} {:>8.2}% {:>10} {:>9} {:>12}",
-            o.policy.label(),
+            "  {:>10} {:>7} {:>10} {:>10} {:>8.2}% {:>10} {:>9} {:>12}",
             o.capacity,
             o.shards,
             o.hits,
@@ -283,19 +241,6 @@ fn main() -> ExitCode {
             o.evictions,
             o.entries,
             o.approx_gates,
-        );
-    }
-    if let Some(best) = recommend(&trace, &results) {
-        eprintln!(
-            "[trasyn-cachesim] recommended: --cache-policy {} --cache-capacity {} ({:.2}% hit rate{})",
-            best.policy.label(),
-            best.capacity,
-            best.hit_rate() * 100.0,
-            if best.capacity as u64 == trace.capacity {
-                " at the recorded capacity"
-            } else {
-                ""
-            },
         );
     }
 

@@ -9,8 +9,6 @@
 //!   --epsilon EPS          per-rotation error threshold (default 1e-2)
 //!   --threads N            synthesis worker threads, 0 = all cores (default 0)
 //!   --cache-capacity N     shared-cache entries, 0 = unbounded (default 4096)
-//!   --cache-policy P       cache eviction policy: fifo|lru|2q|freq
-//!                          (default fifo — the historic behavior)
 //!   --cache-trace FILE     record every cache access (hit/miss/insert/
 //!                          warm-start load) and save the TRC1 binary
 //!                          trace to FILE on exit, for `trasyn-cachesim`
@@ -52,8 +50,8 @@
 //! 2 usage error.
 
 use engine::{
-    AnnealingBackend, BackendKind, BatchItem, BatchRequest, CachePolicy, Engine,
-    GridsynthBackend, PipelineSpec, TrasynBackend,
+    AnnealingBackend, BackendKind, BatchItem, BatchRequest, Engine, GridsynthBackend,
+    PipelineSpec, TrasynBackend,
 };
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
@@ -64,7 +62,6 @@ struct Options {
     epsilon: f64,
     threads: usize,
     cache_capacity: usize,
-    cache_policy: CachePolicy,
     cache_trace: Option<PathBuf>,
     samples: usize,
     max_t: usize,
@@ -82,8 +79,7 @@ struct Options {
 
 fn usage() -> &'static str {
     "usage: trasyn-compile [--backend trasyn|gridsynth|annealing] [--epsilon EPS] \
-     [--threads N] [--cache-capacity N] [--cache-policy fifo|lru|2q|freq] \
-     [--cache-trace FILE] [--samples N] [--max-t N] \
+     [--threads N] [--cache-capacity N] [--cache-trace FILE] [--samples N] [--max-t N] \
      [--pipeline none|fast|default|aggressive|zx|PASS,PASS,...] \
      [--verify] [--profile] [--lint] [--deny-warnings] [--emit-qasm DIR] [--trace FILE] \
      [--trace-tree FILE] [--out FILE] [--cache-file FILE] <FILE.qasm>..."
@@ -97,7 +93,6 @@ fn parse_args(args: &[String]) -> Result<Option<Options>, String> {
         epsilon: 1e-2,
         threads: 0,
         cache_capacity: 4096,
-        cache_policy: CachePolicy::Fifo,
         cache_trace: None,
         samples: 1024,
         max_t: 6,
@@ -139,11 +134,6 @@ fn parse_args(args: &[String]) -> Result<Option<Options>, String> {
                 opts.cache_capacity = value("--cache-capacity")?
                     .parse()
                     .map_err(|_| "--cache-capacity needs an integer".to_string())?;
-            }
-            "--cache-policy" => {
-                let v = value("--cache-policy")?;
-                opts.cache_policy = CachePolicy::parse(&v)
-                    .ok_or_else(|| format!("unknown cache policy '{v}' (fifo|lru|2q|freq)"))?;
             }
             "--cache-trace" => {
                 opts.cache_trace = Some(PathBuf::from(value("--cache-trace")?));
@@ -230,7 +220,6 @@ fn main() -> ExitCode {
     let mut builder = Engine::builder()
         .threads(opts.threads)
         .cache_capacity(opts.cache_capacity)
-        .cache_policy(opts.cache_policy)
         .backend(GridsynthBackend::default())
         .backend(AnnealingBackend::default());
     if opts.backend == BackendKind::Trasyn {

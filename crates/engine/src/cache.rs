@@ -24,7 +24,7 @@
 //! always happens *outside* any lock. Statistics are lock-free atomics.
 //!
 //! Shard assignment is `key.digest() % shards` where the digest is the
-//! stable FNV-1a 64 hash from [`crate::policy::PolicyKey`] — **not**
+//! stable FNV-1a 64 hash of [`CacheKey::digest`] — **not**
 //! `DefaultHasher`, whose output may change across Rust releases. The
 //! same digest is what the access-trace recorder persists, so a replay
 //! ([`crate::cachesim`]) reconstructs the exact shard assignment.
@@ -33,15 +33,16 @@
 //!
 //! The capacity bound is strict (total resident entries never exceed it)
 //! and enforced per shard: each shard holds at most `capacity / shards`
-//! entries and asks its [`EvictionPolicy`] for a victim when full. The
-//! policy is pluggable ([`CachePolicy`]): FIFO (the default — byte-for-
-//! byte the historic behavior), LRU, 2Q, or frequency-aware; see
-//! [`crate::policy`] for the per-policy eviction contracts. Per-shard
-//! enforcement means hash skew can evict inside a hot shard while others
-//! have room, and integer division can leave up to `shards - 1` entries
-//! of the configured capacity unused — both cost only redundant
-//! synthesis, never correctness: the engine re-synthesizes on a miss and
-//! every synthesizer in this workspace is a pure function of
+//! entries and, when full, evicts in FIFO order — the victim is the
+//! shard's oldest *inserted* entry, and hits never reorder. Each shard
+//! keeps its keys in a queue, oldest insertion first, so eviction pops
+//! the front and [`SynthCache::export_entries`] walks the queue (the
+//! snapshot serialization order). Per-shard enforcement means hash skew
+//! can evict inside a hot shard while others have room, and integer
+//! division can leave up to `shards - 1` entries of the configured
+//! capacity unused — both cost only redundant synthesis, never
+//! correctness: the engine re-synthesizes on a miss and every
+//! synthesizer in this workspace is a pure function of
 //! `(unitary, settings)`.
 //!
 //! # Trace recording
@@ -54,9 +55,8 @@
 
 use crate::backend::SettingsKey;
 use crate::cachetrace::{EventKind, TraceRecorder};
-use crate::policy::{self, CachePolicy, EvictionPolicy, PolicyCounters, PolicyKey};
 use circuit::synthesize::CachedSynthesis;
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -72,18 +72,27 @@ pub struct CacheKey {
     pub settings: SettingsKey,
 }
 
-impl PolicyKey for CacheKey {
+impl CacheKey {
     /// Stable digest of the key: FNV-1a 64 over the `Hash` stream,
     /// finalized by the SplitMix64 mixer (FNV's low bits alone are too
     /// regular for `digest % shards` bucketing of structured unitaries).
-    /// This single digest picks the shard, indexes the frequency sketch,
-    /// and is what the trace recorder persists — one hash contract for
-    /// live cache and replay.
-    fn digest(&self) -> u64 {
+    /// This single digest picks the shard and is what the trace recorder
+    /// persists — one hash contract for live cache and replay.
+    pub fn digest(&self) -> u64 {
         let mut h = crate::fnv::Fnv1a64::new();
         self.hash(&mut h);
         crate::fnv::mix64(h.finish())
     }
+}
+
+/// The cache's eviction policy. FIFO is the only one; this type and
+/// [`crate::EngineBuilder::cache_policy`] remain only so the benchmark
+/// package (`benchmark/src/serve.rs`) keeps building unchanged.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub enum CachePolicy {
+    /// Evict the oldest inserted entry; hits never reorder.
+    #[default]
+    Fifo,
 }
 
 /// A point-in-time snapshot of cache counters.
@@ -120,13 +129,13 @@ pub struct ShardStats {
     pub last_eviction_age_ms: f64,
 }
 
+#[derive(Default)]
 struct Shard {
     map: HashMap<CacheKey, CachedSynthesis>,
-    /// Victim selection. The policy tracks exactly `map`'s key set.
-    policy: Box<dyn EvictionPolicy<CacheKey>>,
-    /// Insertion time per resident entry, for age telemetry only —
-    /// policies are clock-free so the simulator can reproduce them.
-    ages: HashMap<CacheKey, Instant>,
+    /// Exactly `map`'s keys, oldest insertion first, each with its
+    /// insertion time: the front is the next FIFO victim and the
+    /// oldest entry. The times feed age telemetry only.
+    order: VecDeque<(CacheKey, Instant)>,
     /// Evictions charged to this shard (insertion-path only).
     evictions: u64,
     /// Resident age of the last evicted entry, in milliseconds.
@@ -134,25 +143,29 @@ struct Shard {
 }
 
 impl Shard {
-    /// Evicts victims until the shard is below `cap`, charging the
-    /// counters unless `silent` (warm-start loads). Returns how many
-    /// entries were evicted.
+    /// Evicts the oldest entries until the shard is below `cap`,
+    /// charging the counters unless `silent` (warm-start loads). Returns
+    /// how many entries were evicted.
     fn evict_to_fit(&mut self, cap: usize, silent: bool) -> u64 {
         let mut evicted = 0;
         while self.map.len() >= cap {
-            let Some(victim) = self.policy.pop_victim() else {
+            let Some((victim, at)) = self.order.pop_front() else {
                 break;
             };
             self.map.remove(&victim);
-            let age = self.ages.remove(&victim);
             if !silent {
                 self.evictions += 1;
-                self.last_eviction_age_ms =
-                    age.map_or(0.0, |at| at.elapsed().as_secs_f64() * 1e3);
+                self.last_eviction_age_ms = at.elapsed().as_secs_f64() * 1e3;
             }
             evicted += 1;
         }
         evicted
+    }
+
+    /// Makes a non-resident `key` resident as the newest entry.
+    fn push(&mut self, key: CacheKey, value: CachedSynthesis) {
+        self.map.insert(key, value);
+        self.order.push_back((key, Instant::now()));
     }
 }
 
@@ -165,7 +178,6 @@ pub struct SynthCache {
     /// Maximum entries per shard; `usize::MAX` when unbounded.
     per_shard_capacity: usize,
     capacity: usize,
-    policy: CachePolicy,
     hits: AtomicU64,
     misses: AtomicU64,
     insertions: AtomicU64,
@@ -217,27 +229,11 @@ impl SynthCache {
     /// [`SynthCache::new`] with an explicit shard count (≥ 1; see
     /// [`shard_layout`]).
     pub fn with_shards(capacity: usize, shards: usize) -> Self {
-        Self::with_policy(capacity, shards, CachePolicy::Fifo)
-    }
-
-    /// [`SynthCache::with_shards`] with an explicit eviction policy.
-    pub fn with_policy(capacity: usize, shards: usize, policy_kind: CachePolicy) -> Self {
         let (shards, per_shard_capacity) = shard_layout(capacity, shards);
         SynthCache {
-            shards: (0..shards)
-                .map(|_| {
-                    Mutex::new(Shard {
-                        map: HashMap::new(),
-                        policy: policy::policy_for(policy_kind, per_shard_capacity),
-                        ages: HashMap::new(),
-                        evictions: 0,
-                        last_eviction_age_ms: 0.0,
-                    })
-                })
-                .collect(),
+            shards: (0..shards).map(|_| Mutex::new(Shard::default())).collect(),
             per_shard_capacity,
             capacity,
-            policy: policy_kind,
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             insertions: AtomicU64::new(0),
@@ -255,11 +251,6 @@ impl SynthCache {
     /// Number of shards.
     pub fn shards(&self) -> usize {
         self.shards.len()
-    }
-
-    /// The eviction policy every shard runs.
-    pub fn policy(&self) -> CachePolicy {
-        self.policy
     }
 
     /// Attaches (or with `None`, detaches) an access-trace recorder.
@@ -283,7 +274,6 @@ impl SynthCache {
     /// attaches it.
     pub fn start_recording(&self) -> Arc<TraceRecorder> {
         let rec = Arc::new(TraceRecorder::new(
-            self.policy,
             self.shards.len() as u32,
             self.capacity as u64,
         ));
@@ -310,10 +300,9 @@ impl SynthCache {
 
     /// Looks `key` up, counting a hit or miss.
     pub fn get(&self, key: &CacheKey) -> Option<CachedSynthesis> {
-        let mut shard = self.shard_of(key).lock().expect("cache shard poisoned");
+        let shard = self.shard_of(key).lock().expect("cache shard poisoned");
         match shard.map.get(key).cloned() {
             Some(v) => {
-                shard.policy.note_hit(key);
                 self.hits.fetch_add(1, Ordering::Relaxed);
                 self.record(key, EventKind::Hit, 0);
                 Some(v)
@@ -326,11 +315,11 @@ impl SynthCache {
         }
     }
 
-    /// Inserts `value` for `key`, evicting the policy's victim(s) when
-    /// the shard is full. If a racing thread already inserted `key`, the
+    /// Inserts `value` for `key`, evicting the shard's oldest entries
+    /// when it is full. If a racing thread already inserted `key`, the
     /// resident entry wins (every backend is deterministic, so both are
     /// identical) and is returned, keeping all callers on one shared
-    /// allocation; a duplicate insert does not touch the eviction policy.
+    /// allocation; a duplicate insert does not touch the FIFO order.
     pub fn insert(&self, key: CacheKey, value: CachedSynthesis) -> CachedSynthesis {
         let size_class = size_class_of(&value);
         let mut shard = self.shard_of(&key).lock().expect("cache shard poisoned");
@@ -340,9 +329,7 @@ impl SynthCache {
         }
         let evicted = shard.evict_to_fit(self.per_shard_capacity, false);
         self.evictions.fetch_add(evicted, Ordering::Relaxed);
-        shard.map.insert(key, value.clone());
-        shard.policy.note_insert(key);
-        shard.ages.insert(key, Instant::now());
+        shard.push(key, value.clone());
         self.insertions.fetch_add(1, Ordering::Relaxed);
         self.record(&key, EventKind::Insert, size_class);
         value
@@ -374,17 +361,16 @@ impl SynthCache {
         self.len() == 0
     }
 
-    /// Exports every resident entry, shard by shard, each shard in its
-    /// policy's canonical order (insertion order under the default
-    /// FIFO — the historic snapshot serialization order; see
+    /// Exports every resident entry, shard by shard, each shard in
+    /// insertion order (the snapshot serialization order; see
     /// [`crate::snapshot`]). Deterministic for a fixed access history.
     pub fn export_entries(&self) -> Vec<(CacheKey, CachedSynthesis)> {
         let mut out = Vec::with_capacity(self.len());
         for s in &self.shards {
             let s = s.lock().expect("cache shard poisoned");
-            for key in s.policy.keys() {
-                if let Some(v) = s.map.get(&key) {
-                    out.push((key, v.clone()));
+            for (key, _) in &s.order {
+                if let Some(v) = s.map.get(key) {
+                    out.push((*key, v.clone()));
                 }
             }
         }
@@ -403,9 +389,7 @@ impl SynthCache {
             return;
         }
         shard.evict_to_fit(self.per_shard_capacity, true);
-        shard.map.insert(key, value);
-        shard.policy.note_insert(key);
-        shard.ages.insert(key, Instant::now());
+        shard.push(key, value);
         self.record(&key, EventKind::Load, size_class);
     }
 
@@ -414,8 +398,7 @@ impl SynthCache {
         for s in &self.shards {
             let mut s = s.lock().expect("cache shard poisoned");
             s.map.clear();
-            s.policy.clear();
-            s.ages.clear();
+            s.order.clear();
         }
     }
 
@@ -432,25 +415,13 @@ impl SynthCache {
                     entries: s.map.len(),
                     evictions: s.evictions,
                     oldest_age_ms: s
-                        .ages
-                        .values()
-                        .min()
-                        .map_or(0.0, |at| at.elapsed().as_secs_f64() * 1e3),
+                        .order
+                        .front()
+                        .map_or(0.0, |(_, at)| at.elapsed().as_secs_f64() * 1e3),
                     last_eviction_age_ms: s.last_eviction_age_ms,
                 }
             })
             .collect()
-    }
-
-    /// Aggregated policy-internal counters (promotions/demotions/agings)
-    /// across all shards.
-    pub fn policy_counters(&self) -> PolicyCounters {
-        let mut total = PolicyCounters::default();
-        for s in &self.shards {
-            let s = s.lock().expect("cache shard poisoned");
-            total.merge(&s.policy.counters());
-        }
-        total
     }
 
     /// Snapshot of the counters.
@@ -512,102 +483,22 @@ mod tests {
     }
 
     #[test]
-    fn default_policy_is_fifo() {
-        assert_eq!(SynthCache::new(8).policy(), CachePolicy::Fifo);
-        assert_eq!(
-            SynthCache::with_policy(8, 2, CachePolicy::Lru).policy(),
-            CachePolicy::Lru
-        );
-    }
-
-    #[test]
-    fn lru_policy_keeps_recently_used_entries() {
-        let c = SynthCache::with_policy(4, 1, CachePolicy::Lru);
-        for i in 0..4 {
-            c.insert(key(i), value());
-        }
-        // Touch 0 — under FIFO it would be the next victim.
-        assert!(c.get(&key(0)).is_some());
-        c.insert(key(4), value());
-        assert!(c.get(&key(0)).is_some(), "recently used entry survived");
-        assert!(c.get(&key(1)).is_none(), "LRU victim was evicted");
-    }
-
-    #[test]
-    fn two_q_policy_resists_scans() {
-        let c = SynthCache::with_policy(5, 1, CachePolicy::TwoQ);
-        c.insert(key(100), value());
-        c.insert(key(101), value());
-        // Promote both to the protected segment.
-        assert!(c.get(&key(100)).is_some());
-        assert!(c.get(&key(101)).is_some());
-        // A long one-shot scan must not evict the hot pair.
-        for i in 0..20 {
-            c.insert(key(i), value());
-        }
-        assert!(c.get(&key(100)).is_some(), "hot entry survived the scan");
-        assert!(c.get(&key(101)).is_some(), "hot entry survived the scan");
-        let counters = c.policy_counters();
-        assert_eq!(counters.promotions, 2);
-    }
-
-    #[test]
-    fn freq_policy_keeps_frequent_entries() {
-        let c = SynthCache::with_policy(3, 1, CachePolicy::Freq);
-        c.insert(key(7), value());
-        for _ in 0..10 {
-            assert!(c.get(&key(7)).is_some());
-        }
-        for i in 0..10 {
-            c.insert(key(i), value());
-        }
-        assert!(c.get(&key(7)).is_some(), "frequent entry survived churn");
-    }
-
-    #[test]
-    fn policy_behavior_is_deterministic_across_runs() {
-        for policy in CachePolicy::ALL {
-            let run = || {
-                let c = SynthCache::with_policy(6, 2, policy);
-                let mut outcomes = Vec::new();
-                for i in 0..40i64 {
-                    let k = key(i % 11);
-                    let hit = c.get(&k).is_some();
-                    if !hit {
-                        c.insert(k, value());
-                    }
-                    outcomes.push(hit);
-                }
-                let keys: Vec<CacheKey> =
-                    c.export_entries().into_iter().map(|(k, _)| k).collect();
-                (outcomes, c.stats(), keys)
-            };
-            assert_eq!(run(), run(), "{policy} diverged across identical runs");
-        }
-    }
-
-    #[test]
     fn hit_miss_totals_are_shard_count_independent_without_evictions() {
         // Sharding partitions the key space; with no evictions the
         // hit/miss outcome of every access is shard-count independent.
-        for policy in CachePolicy::ALL {
-            let mut seen = Vec::new();
-            for shards in [1usize, 5] {
-                let c = SynthCache::with_shards(0, shards);
-                assert_eq!(c.policy(), CachePolicy::Fifo);
-                drop(c);
-                let c = SynthCache::with_policy(0, shards, policy);
-                for i in 0..60i64 {
-                    let k = key(i % 13);
-                    if c.get(&k).is_none() {
-                        c.insert(k, value());
-                    }
+        let mut seen = Vec::new();
+        for shards in [1usize, 5] {
+            let c = SynthCache::with_shards(0, shards);
+            for i in 0..60i64 {
+                let k = key(i % 13);
+                if c.get(&k).is_none() {
+                    c.insert(k, value());
                 }
-                let s = c.stats();
-                seen.push((s.hits, s.misses, s.insertions, s.entries));
             }
-            assert_eq!(seen[0], seen[1], "{policy} totals depend on sharding");
+            let s = c.stats();
+            seen.push((s.hits, s.misses, s.insertions, s.entries));
         }
+        assert_eq!(seen[0], seen[1], "totals depend on sharding");
     }
 
     #[test]
@@ -623,13 +514,11 @@ mod tests {
     fn capacity_bound_is_strict() {
         // Capacity below the default shard count: the shard count clamps
         // so the global bound still holds under any key distribution.
-        for policy in CachePolicy::ALL {
-            let c = SynthCache::with_policy(4, DEFAULT_SHARDS, policy);
-            assert!(c.shards() <= 4);
-            for i in 0..50 {
-                c.insert(key(i), value());
-                assert!(c.len() <= 4, "{policy}: resident {} > capacity 4", c.len());
-            }
+        let c = SynthCache::new(4);
+        assert!(c.shards() <= 4);
+        for i in 0..50 {
+            c.insert(key(i), value());
+            assert!(c.len() <= 4, "resident {} > capacity 4", c.len());
         }
     }
 
@@ -655,23 +544,21 @@ mod tests {
 
     #[test]
     fn concurrent_use_is_safe() {
-        for policy in CachePolicy::ALL {
-            let c = Arc::new(SynthCache::with_policy(64, DEFAULT_SHARDS, policy));
-            std::thread::scope(|s| {
-                for t in 0..4 {
-                    let c = Arc::clone(&c);
-                    s.spawn(move || {
-                        for i in 0..50 {
-                            let k = key((i % 16) + t);
-                            let _ = c.get_or_insert_with(k, value);
-                        }
-                    });
-                }
-            });
-            let s = c.stats();
-            assert_eq!(s.hits + s.misses, 200, "{policy}");
-            assert!(c.len() <= 64, "{policy}");
-        }
+        let c = Arc::new(SynthCache::new(64));
+        std::thread::scope(|s| {
+            for t in 0..4 {
+                let c = Arc::clone(&c);
+                s.spawn(move || {
+                    for i in 0..50 {
+                        let k = key((i % 16) + t);
+                        let _ = c.get_or_insert_with(k, value);
+                    }
+                });
+            }
+        });
+        let s = c.stats();
+        assert_eq!(s.hits + s.misses, 200);
+        assert!(c.len() <= 64);
     }
 
     #[test]
@@ -692,6 +579,21 @@ mod tests {
             shards.iter().map(|s| s.evictions).sum::<u64>(),
             c.stats().evictions
         );
+    }
+
+    #[test]
+    fn shard_ages_come_from_the_fifo_queue() {
+        // The oldest entry is the queue front; an evicted entry's age is
+        // taken from the pair the eviction popped.
+        let c = SynthCache::with_shards(2, 1);
+        c.insert(key(0), value());
+        std::thread::sleep(std::time::Duration::from_millis(20));
+        c.insert(key(1), value());
+        assert!(c.shard_stats()[0].oldest_age_ms >= 20.0);
+        c.insert(key(2), value()); // evicts key(0)
+        let s = c.shard_stats()[0];
+        assert!(s.last_eviction_age_ms >= 20.0, "{s:?}");
+        assert!(s.oldest_age_ms < s.last_eviction_age_ms, "{s:?}");
     }
 
     #[test]
@@ -718,6 +620,24 @@ mod tests {
     }
 
     #[test]
+    fn clear_empties_the_queue_so_a_reinsert_exports_once() {
+        // A stale queue entry would export the key twice, and a TSC1
+        // snapshot would carry the duplicate.
+        let c = SynthCache::with_shards(8, 1);
+        c.insert(key(1), value());
+        c.insert(key(2), value());
+        c.clear();
+        c.insert(key(1), value());
+        let keys: Vec<i64> = c
+            .export_entries()
+            .into_iter()
+            .map(|(k, _)| k.unitary[0])
+            .collect();
+        assert_eq!(keys, vec![1]);
+        assert_eq!(c.shard_stats()[0].entries, 1);
+    }
+
+    #[test]
     fn recorder_sees_every_operation_in_order() {
         let c = SynthCache::with_shards(8, 1);
         let rec = c.start_recording();
@@ -729,7 +649,6 @@ mod tests {
         c.set_recorder(None);
         assert!(c.get(&key(1)).is_some(), "detached recorder sees nothing");
         let trace = crate::cachetrace::decode(&rec.encode()).expect("valid trace");
-        assert_eq!(trace.policy, CachePolicy::Fifo);
         assert_eq!(trace.shards, 1);
         assert_eq!(trace.capacity, 8);
         let kinds: Vec<EventKind> = trace.events.iter().map(|e| e.kind).collect();
@@ -776,17 +695,65 @@ mod tests {
     }
 
     #[test]
-    fn export_entries_uses_policy_order() {
-        let c = SynthCache::with_policy(8, 1, CachePolicy::Lru);
+    fn export_entries_use_insertion_order_despite_hits() {
+        let c = SynthCache::with_shards(8, 1);
         for i in 0..3 {
             c.insert(key(i), value());
         }
-        let _ = c.get(&key(0)); // 0 becomes most recent
+        let _ = c.get(&key(0)); // a hit never reorders
         let keys: Vec<i64> = c
             .export_entries()
             .into_iter()
             .map(|(k, _)| k.unitary[0])
             .collect();
-        assert_eq!(keys, vec![1, 2, 0], "LRU canonical order is LRU→MRU");
+        assert_eq!(keys, vec![0, 1, 2]);
+    }
+
+    /// Drives a one-shard cache of `capacity` over `accesses` (hit, or
+    /// miss then insert) next to a naive model: a `Vec` in insertion
+    /// order whose victim is always element 0. After every access the
+    /// resident keys, in export order, must equal the model's. Returns
+    /// the per-access hit outcomes and the final stats.
+    fn drive_against_model(
+        accesses: &[i64],
+        capacity: usize,
+    ) -> Result<(Vec<bool>, CacheStats), proptest::TestCaseError> {
+        let c = SynthCache::with_shards(capacity, 1);
+        let mut model: Vec<i64> = Vec::new();
+        let mut outcomes = Vec::new();
+        for &k in accesses {
+            let hit = c.get(&key(k)).is_some();
+            proptest::prop_assert_eq!(hit, model.contains(&k));
+            if !hit {
+                c.insert(key(k), value());
+                if model.len() == capacity {
+                    model.remove(0);
+                }
+                model.push(k);
+            }
+            outcomes.push(hit);
+            let resident: Vec<i64> = c
+                .export_entries()
+                .into_iter()
+                .map(|(key, _)| key.unitary[0])
+                .collect();
+            proptest::prop_assert!(resident.len() <= capacity, "capacity exceeded");
+            proptest::prop_assert_eq!(&resident, &model);
+        }
+        Ok((outcomes, c.stats()))
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn fifo_matches_naive_model(
+            accesses in proptest::collection::vec(0i64..24, 1..200),
+            capacity in 1usize..9,
+        ) {
+            let first = drive_against_model(&accesses, capacity)?;
+            let second = drive_against_model(&accesses, capacity)?;
+            proptest::prop_assert_eq!(first, second, "two identical runs diverged");
+        }
     }
 }

@@ -1,10 +1,9 @@
 //! Trace-driven cache simulation.
 //!
-//! Replays a recorded [`CacheTrace`] against any [`CachePolicy`] ×
-//! capacity × shard configuration and reports the hit rate, eviction
+//! Replays a recorded [`CacheTrace`] against any capacity × shard
+//! configuration of the FIFO cache and reports the hit rate, eviction
 //! count, and resident footprint that configuration *would* have had —
-//! the core of the `trasyn-cachesim` binary and of the ROADMAP's
-//! "pick the eviction policy from data" methodology.
+//! the core of the `trasyn-cachesim` binary's cache-sizing lab.
 //!
 //! # Two modes
 //!
@@ -13,7 +12,7 @@
 //!   the live engine performed them, warm-start loads stay silent. Under
 //!   the trace's own recorded configuration this reproduces the live
 //!   cache bit-for-bit — same shard assignment (`digest % shards`), same
-//!   policy decisions, same hit/miss *sequence* — which the replay-parity
+//!   FIFO evictions, same hit/miss *sequence* — which the replay-parity
 //!   tests below pin. This is the mode that proves the simulator can be
 //!   trusted.
 //! * [`SimMode::Reference`] — what-if sweeps over *other*
@@ -26,14 +25,13 @@
 //!   parity results — that gap is inherent to what-if simulation, not a
 //!   bug, and the parity mode exists to keep it measurable.
 //!
-//! Policies are clock-free and randomness-free, so a replay is
-//! deterministic: same trace + same configuration → same
+//! The simulated FIFO queue is clock-free and randomness-free, so a
+//! replay is deterministic: same trace + same configuration → same
 //! [`SimOutcome`], always.
 
 use crate::cache::shard_layout;
 use crate::cachetrace::{CacheTrace, EventKind};
-use crate::policy::{policy_for, CachePolicy, EvictionPolicy, PolicyCounters};
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 
 /// How faithfully to replay the trace — see the module docs.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -73,8 +71,6 @@ impl std::fmt::Display for SimMode {
 /// The result of one simulated configuration.
 #[derive(Clone, Debug)]
 pub struct SimOutcome {
-    /// Policy simulated.
-    pub policy: CachePolicy,
     /// Total capacity simulated (0 = unbounded).
     pub capacity: usize,
     /// Shard count simulated.
@@ -96,8 +92,6 @@ pub struct SimOutcome {
     /// entries (size classes are `ceil(log2)` buckets, so this is an
     /// upper bound within 2×).
     pub approx_gates: u64,
-    /// Policy-internal counters (promotions/demotions/agings).
-    pub counters: PolicyCounters,
     /// Per-lookup outcome, in trace order: `true` = hit. This is what
     /// the replay-parity tests compare against the recorded sequence.
     pub outcomes: Vec<bool>,
@@ -116,11 +110,12 @@ impl SimOutcome {
 }
 
 /// One simulated shard: the resident set (digest → size class) plus its
-/// eviction policy — the same division of labor as the live
-/// [`crate::cache::SynthCache`] shard.
+/// FIFO queue of digests, oldest insertion first — the live
+/// [`crate::cache::SynthCache`] shard without the clock.
+#[derive(Default)]
 struct SimShard {
     resident: HashMap<u64, u8>,
-    policy: Box<dyn EvictionPolicy<u64>>,
+    order: VecDeque<u64>,
 }
 
 impl SimShard {
@@ -128,7 +123,7 @@ impl SimShard {
     fn evict_to_fit(&mut self, cap: usize) -> u64 {
         let mut evicted = 0;
         while self.resident.len() >= cap {
-            let Some(victim) = self.policy.pop_victim() else {
+            let Some(victim) = self.order.pop_front() else {
                 break;
             };
             self.resident.remove(&victim);
@@ -139,26 +134,15 @@ impl SimShard {
 
     fn insert(&mut self, key: u64, size_class: u8) {
         self.resident.insert(key, size_class);
-        self.policy.note_insert(key);
+        self.order.push_back(key);
     }
 }
 
-/// Replays `trace` against one `(policy, capacity, shards)`
-/// configuration. Deterministic; see [`SimMode`] for what is replayed.
-pub fn simulate(
-    trace: &CacheTrace,
-    policy: CachePolicy,
-    capacity: usize,
-    shards: usize,
-    mode: SimMode,
-) -> SimOutcome {
+/// Replays `trace` against one `(capacity, shards)` configuration.
+/// Deterministic; see [`SimMode`] for what is replayed.
+pub fn simulate(trace: &CacheTrace, capacity: usize, shards: usize, mode: SimMode) -> SimOutcome {
     let (nshards, per_shard_capacity) = shard_layout(capacity, shards);
-    let mut sim: Vec<SimShard> = (0..nshards)
-        .map(|_| SimShard {
-            resident: HashMap::new(),
-            policy: policy_for(policy, per_shard_capacity),
-        })
-        .collect();
+    let mut sim: Vec<SimShard> = (0..nshards).map(|_| SimShard::default()).collect();
 
     // Reference mode inserts on miss, so it needs a size class for keys
     // whose insertion events it skips: take each key's first recorded
@@ -174,7 +158,6 @@ pub fn simulate(
     }
 
     let mut out = SimOutcome {
-        policy,
         capacity,
         shards: nshards,
         mode,
@@ -184,7 +167,6 @@ pub fn simulate(
         evictions: 0,
         entries: 0,
         approx_gates: 0,
-        counters: PolicyCounters::default(),
         outcomes: Vec::with_capacity(trace.gets()),
     };
 
@@ -196,7 +178,6 @@ pub fn simulate(
                 // parity tests compare it to, not an input.
                 let hit = shard.resident.contains_key(&e.key_hash);
                 if hit {
-                    shard.policy.note_hit(&e.key_hash);
                     out.hits += 1;
                 } else {
                     out.misses += 1;
@@ -238,7 +219,6 @@ pub fn simulate(
             .values()
             .map(|&c| 1u64 << u32::from(c).min(63))
             .sum::<u64>();
-        out.counters.merge(&shard.policy.counters());
     }
     out
 }
@@ -262,7 +242,6 @@ mod tests {
     use crate::backend::{BackendKind, SettingsKey};
     use crate::cache::{CacheKey, SynthCache};
     use crate::cachetrace::decode;
-    use crate::policy::PolicyKey;
     use circuit::synthesize::CachedSynthesis;
     use gates::{Gate, GateSeq};
     use std::sync::Arc;
@@ -289,16 +268,14 @@ mod tests {
     /// keys + scans + a warm-start load), recording a trace, and returns
     /// the decoded trace plus the live per-lookup outcome sequence.
     fn record_live(
-        policy: CachePolicy,
         capacity: usize,
         shards: usize,
     ) -> (
         crate::cachetrace::CacheTrace,
         Vec<bool>,
         crate::cache::CacheStats,
-        PolicyCounters,
     ) {
-        let cache = SynthCache::with_policy(capacity, shards, policy);
+        let cache = SynthCache::with_shards(capacity, shards);
         let rec = cache.start_recording();
         cache.load_entry(key(1000), value(9)); // warm-start entry
         let mut live = Vec::new();
@@ -325,70 +302,47 @@ mod tests {
             cache.insert(key(0), value(1));
         }
         let stats = cache.stats();
-        let counters = cache.policy_counters();
         let trace = decode(&rec.encode()).expect("recorder produces a valid trace");
-        (trace, live, stats, counters)
+        (trace, live, stats)
     }
 
     #[test]
-    fn parity_replay_matches_live_sequence_for_every_policy_and_capacity() {
-        // The tentpole guarantee: for all 4 policies × 3 capacities ×
-        // 2 shard layouts, replaying the recorded trace under the
-        // recorded configuration reproduces the live cache's hit/miss
-        // *sequence* — not just the totals.
-        for policy in CachePolicy::ALL {
-            for capacity in [4usize, 8, 64] {
-                for shards in [1usize, 3] {
-                    let (trace, live, stats, _) = record_live(policy, capacity, shards);
-                    assert_eq!(trace.policy, policy);
-                    let sim = simulate(
-                        &trace,
-                        policy,
-                        capacity,
-                        trace.shards as usize,
-                        SimMode::Parity,
-                    );
-                    assert_eq!(
-                        sim.outcomes, live,
-                        "{policy} cap={capacity} shards={shards}: simulated sequence diverged"
-                    );
-                    // And the recorded event kinds agree with both.
-                    let recorded: Vec<bool> = trace
-                        .events
-                        .iter()
-                        .filter(|e| e.kind.is_get())
-                        .map(|e| e.kind == EventKind::Hit)
-                        .collect();
-                    assert_eq!(sim.outcomes, recorded);
-                    assert_eq!(sim.hits, stats.hits, "{policy} cap={capacity}");
-                    assert_eq!(sim.misses, stats.misses);
-                    assert_eq!(sim.insertions, stats.insertions);
-                    assert_eq!(sim.evictions, stats.evictions);
-                }
+    fn parity_replay_matches_live_sequence_for_every_capacity() {
+        // The tentpole guarantee: for 3 capacities × 2 shard layouts,
+        // replaying the recorded trace under the recorded configuration
+        // reproduces the live cache's hit/miss *sequence* — not just the
+        // totals.
+        for capacity in [4usize, 8, 64] {
+            for shards in [1usize, 3] {
+                let (trace, live, stats) = record_live(capacity, shards);
+                let sim = simulate(&trace, capacity, trace.shards as usize, SimMode::Parity);
+                assert_eq!(
+                    sim.outcomes, live,
+                    "cap={capacity} shards={shards}: simulated sequence diverged"
+                );
+                // And the recorded event kinds agree with both.
+                let recorded: Vec<bool> = trace
+                    .events
+                    .iter()
+                    .filter(|e| e.kind.is_get())
+                    .map(|e| e.kind == EventKind::Hit)
+                    .collect();
+                assert_eq!(sim.outcomes, recorded);
+                assert_eq!(sim.hits, stats.hits, "cap={capacity}");
+                assert_eq!(sim.misses, stats.misses);
+                assert_eq!(sim.insertions, stats.insertions);
+                assert_eq!(sim.evictions, stats.evictions);
             }
         }
     }
 
     #[test]
-    fn parity_replay_reproduces_policy_counters() {
-        // Internal policy events (2Q promotions/demotions, Freq agings)
-        // must replay exactly too, since they steer victim selection.
-        for policy in [CachePolicy::TwoQ, CachePolicy::Freq] {
-            let (trace, _, _, live_counters) = record_live(policy, 8, 1);
-            let sim = simulate(&trace, policy, 8, 1, SimMode::Parity);
-            assert_eq!(sim.counters, live_counters, "{policy}");
-        }
-        let (_, _, _, two_q) = record_live(CachePolicy::TwoQ, 8, 1);
-        assert!(two_q.promotions > 0, "workload re-hits its hot set");
-    }
-
-    #[test]
     fn reference_mode_sweeps_capacities_monotonically_enough() {
-        // Bigger cache, same policy → never fewer hits on this
-        // scan-plus-hot-set workload.
-        let (trace, _, _, _) = record_live(CachePolicy::Lru, 8, 1);
-        let small = simulate(&trace, CachePolicy::Lru, 4, 1, SimMode::Reference);
-        let large = simulate(&trace, CachePolicy::Lru, 64, 1, SimMode::Reference);
+        // A cache larger than the workload's key set never evicts, so it
+        // never has fewer hits on this scan-plus-hot-set workload.
+        let (trace, _, _) = record_live(8, 1);
+        let small = simulate(&trace, 4, 1, SimMode::Reference);
+        let large = simulate(&trace, 64, 1, SimMode::Reference);
         assert!(large.hits >= small.hits);
         assert_eq!(small.outcomes.len(), trace.gets());
         assert!(large.entries <= 64);
@@ -396,8 +350,8 @@ mod tests {
 
     #[test]
     fn reference_mode_carries_size_classes_from_recorded_inserts() {
-        let (trace, _, _, _) = record_live(CachePolicy::Fifo, 0, 1);
-        let sim = simulate(&trace, CachePolicy::Fifo, 0, 1, SimMode::Reference);
+        let (trace, _, _) = record_live(0, 1);
+        let sim = simulate(&trace, 0, 1, SimMode::Reference);
         // Unbounded: every distinct get-key resident, each with the size
         // class its recorded insertion carried (≥1 gate each).
         assert!(sim.approx_gates >= sim.entries as u64);
@@ -406,16 +360,14 @@ mod tests {
 
     #[test]
     fn simulation_is_deterministic() {
-        for policy in CachePolicy::ALL {
-            let (trace, _, _, _) = record_live(policy, 8, 2);
-            let a = simulate(&trace, policy, 8, 2, SimMode::Parity);
-            let b = simulate(&trace, policy, 8, 2, SimMode::Parity);
-            assert_eq!(a.outcomes, b.outcomes, "{policy}");
-            assert_eq!(
-                (a.hits, a.misses, a.insertions, a.evictions, a.entries),
-                (b.hits, b.misses, b.insertions, b.evictions, b.entries)
-            );
-        }
+        let (trace, _, _) = record_live(8, 2);
+        let a = simulate(&trace, 8, 2, SimMode::Parity);
+        let b = simulate(&trace, 8, 2, SimMode::Parity);
+        assert_eq!(a.outcomes, b.outcomes);
+        assert_eq!(
+            (a.hits, a.misses, a.insertions, a.evictions, a.entries),
+            (b.hits, b.misses, b.insertions, b.evictions, b.entries)
+        );
     }
 
     #[test]
@@ -424,7 +376,7 @@ mod tests {
         let rec = cache.start_recording();
         let trace = decode(&rec.encode()).expect("empty trace is valid");
         for mode in [SimMode::Parity, SimMode::Reference] {
-            let sim = simulate(&trace, CachePolicy::Lru, 8, 2, mode);
+            let sim = simulate(&trace, 8, 2, mode);
             assert_eq!(sim.hits + sim.misses + sim.insertions, 0);
             assert_eq!(sim.entries, 0);
             assert!(sim.outcomes.is_empty());
@@ -437,9 +389,9 @@ mod tests {
         // The simulator must shard by digest % shards — the same rule
         // the live cache uses — or multi-shard parity would diverge.
         let k = key(5); // in the workload's hot set
-        let (trace, live, _, _) = record_live(CachePolicy::Fifo, 8, 3);
+        let (trace, live, _) = record_live(8, 3);
         assert!(trace.events.iter().any(|e| e.key_hash == k.digest()));
-        let sim = simulate(&trace, CachePolicy::Fifo, 8, 3, SimMode::Parity);
+        let sim = simulate(&trace, 8, 3, SimMode::Parity);
         assert_eq!(sim.outcomes, live);
         assert_eq!(sim.shards, 3);
     }

@@ -3,10 +3,10 @@
 //! A trace is the compact, replayable record of every [`crate::cache::
 //! SynthCache`] operation: lookups (with their hit/miss outcome),
 //! insertions, and warm-start loads. `trasyn-cachesim` replays a trace
-//! against any [`crate::CachePolicy`] × capacity combination to pick an
-//! eviction configuration from data instead of folklore — and the
-//! replay-parity tests pin that a replay under the *recorded*
-//! configuration reproduces the live hit/miss sequence exactly.
+//! against a sweep of capacities to size the cache from data instead of
+//! folklore — and the replay-parity tests pin that a replay under the
+//! *recorded* configuration reproduces the live hit/miss sequence
+//! exactly.
 //!
 //! # What is recorded
 //!
@@ -14,11 +14,10 @@
 //! lock (so per-shard event order is exactly the live decision order):
 //!
 //! * `key_hash` — the key's stable FNV-1a 64 digest
-//!   ([`crate::policy::PolicyKey::digest`]); the same digest picks the
-//!   shard (`digest % shards`) and indexes the frequency sketch, so a
-//!   replay reconstructs shard assignment and sketch state without the
-//!   full key. Digest collisions would alias two keys; at 64 bits and
-//!   realistic trace sizes this is negligible.
+//!   ([`crate::cache::CacheKey::digest`]); the same digest picks the
+//!   shard (`digest % shards`), so a replay reconstructs shard
+//!   assignment without the full key. Digest collisions would alias two
+//!   keys; at 64 bits and realistic trace sizes this is negligible.
 //! * `kind` — get-hit, get-miss, insert, or warm-start load.
 //! * `size_class` — `ceil(log2)` bucket of the cached gate-sequence
 //!   length (0 for lookups, which carry no value).
@@ -35,7 +34,7 @@
 //! ```text
 //! magic    4 B   "TRC1"
 //! version  4 B   u32 (this module: 1)
-//! policy   1 B   CachePolicy code (recorded cache's policy)
+//! policy   1 B   always 0 (FIFO)
 //! shards   4 B   u32 shard count
 //! capacity 8 B   u64 total capacity (0 = unbounded)
 //! count    8 B   u64 number of events
@@ -43,12 +42,16 @@
 //! checksum 8 B   FNV-1a 64 over every preceding byte
 //! ```
 //!
+//! The policy byte names the recorded cache's eviction policy. FIFO (0)
+//! is the only one; codes 1–3 (LRU, 2Q and a frequency sketch, recorded
+//! by older builds) are reserved and rejected on read, because a replay
+//! under FIFO could not reproduce their decisions.
+//!
 //! A truncated, bit-flipped, foreign, or future-versioned file is
 //! rejected with a clean one-line [`TraceError`]; an empty trace (zero
 //! events) is valid.
 
 use crate::fnv::fnv1a64;
-use crate::policy::CachePolicy;
 use std::io::Write;
 use std::path::Path;
 use std::sync::Mutex;
@@ -59,6 +62,9 @@ pub const MAGIC: [u8; 4] = *b"TRC1";
 
 /// Format version written by this module.
 pub const VERSION: u32 = 1;
+
+/// The header's policy byte: FIFO, the only eviction policy.
+const FIFO_POLICY_CODE: u8 = 0;
 
 /// Fixed header length in bytes (magic through count).
 const HEADER_BYTES: usize = 4 + 4 + 1 + 4 + 8 + 8;
@@ -166,8 +172,6 @@ pub struct TraceEvent {
 /// log in live order.
 #[derive(Clone, Debug)]
 pub struct CacheTrace {
-    /// Eviction policy the recorded cache ran.
-    pub policy: CachePolicy,
     /// Shard count of the recorded cache.
     pub shards: u32,
     /// Total capacity of the recorded cache (0 = unbounded).
@@ -189,7 +193,6 @@ impl CacheTrace {
 /// live decision order; the recorder's own lock only serializes the
 /// append.
 pub struct TraceRecorder {
-    policy: CachePolicy,
     shards: u32,
     capacity: u64,
     start: Instant,
@@ -198,9 +201,8 @@ pub struct TraceRecorder {
 
 impl TraceRecorder {
     /// A recorder stamped with the recorded cache's configuration.
-    pub fn new(policy: CachePolicy, shards: u32, capacity: u64) -> Self {
+    pub fn new(shards: u32, capacity: u64) -> Self {
         TraceRecorder {
-            policy,
             shards,
             capacity,
             start: Instant::now(),
@@ -238,7 +240,7 @@ impl TraceRecorder {
         let mut out = Vec::with_capacity(HEADER_BYTES + events.len() * EVENT_BYTES + 8);
         out.extend_from_slice(&MAGIC);
         out.extend_from_slice(&VERSION.to_le_bytes());
-        out.push(self.policy.code());
+        out.push(FIFO_POLICY_CODE);
         out.extend_from_slice(&self.shards.to_le_bytes());
         out.extend_from_slice(&self.capacity.to_le_bytes());
         out.extend_from_slice(&(events.len() as u64).to_le_bytes());
@@ -327,8 +329,9 @@ pub fn decode(bytes: &[u8]) -> Result<CacheTrace, TraceError> {
             expected: VERSION,
         });
     }
-    let policy = CachePolicy::from_code(r.u8()?)
-        .ok_or(TraceError::Corrupt("unknown policy code"))?;
+    if r.u8()? != FIFO_POLICY_CODE {
+        return Err(TraceError::Corrupt("unknown policy code"));
+    }
     let shards = r.u32()?;
     if shards == 0 {
         return Err(TraceError::Corrupt("zero shard count"));
@@ -360,7 +363,6 @@ pub fn decode(bytes: &[u8]) -> Result<CacheTrace, TraceError> {
         return Err(TraceError::Corrupt("trailing bytes after events"));
     }
     Ok(CacheTrace {
-        policy,
         shards,
         capacity,
         events,
@@ -378,7 +380,7 @@ mod tests {
     use super::*;
 
     fn recorder_with_events(n: u64) -> TraceRecorder {
-        let rec = TraceRecorder::new(CachePolicy::Lru, 4, 256);
+        let rec = TraceRecorder::new(4, 256);
         for i in 0..n {
             let kind = match i % 4 {
                 0 => EventKind::Miss,
@@ -396,7 +398,6 @@ mod tests {
         let rec = recorder_with_events(13);
         let bytes = rec.encode();
         let trace = decode(&bytes).expect("roundtrip decodes");
-        assert_eq!(trace.policy, CachePolicy::Lru);
         assert_eq!(trace.shards, 4);
         assert_eq!(trace.capacity, 256);
         assert_eq!(trace.events.len(), 13);
@@ -418,7 +419,7 @@ mod tests {
 
     #[test]
     fn empty_trace_roundtrips() {
-        let rec = TraceRecorder::new(CachePolicy::Fifo, 1, 0);
+        let rec = TraceRecorder::new(1, 0);
         assert!(rec.is_empty());
         let trace = decode(&rec.encode()).expect("empty trace is valid");
         assert!(trace.events.is_empty());
@@ -464,6 +465,25 @@ mod tests {
         match decode(&bytes) {
             Err(TraceError::VersionMismatch { found: 99, expected: VERSION }) => {}
             other => panic!("expected a version mismatch, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn retired_policy_codes_are_rejected() {
+        // Codes 1–3 are traces an older build recorded under LRU, 2Q or
+        // freq; a FIFO replay cannot reproduce them.
+        let policy_at = 8;
+        let good = recorder_with_events(3).encode();
+        assert_eq!(good[policy_at], 0, "the policy byte is always FIFO");
+        for code in 1u8..=3 {
+            let mut bytes = good.clone();
+            bytes[policy_at] = code;
+            // Re-seal the checksum so only the policy byte differs.
+            let n = bytes.len();
+            let sum = fnv1a64(&bytes[..n - 8]);
+            bytes[n - 8..].copy_from_slice(&sum.to_le_bytes());
+            let err = decode(&bytes).expect_err("retired policy code accepted");
+            assert_eq!(err.to_string(), "corrupt cache trace: unknown policy code");
         }
     }
 

@@ -20,8 +20,7 @@
 
 use crate::backend::{BackendKind, SettingsKey, Synthesizer};
 use crate::batch::{BatchItem, BatchReport, BatchRequest, ItemReport};
-use crate::cache::{CacheKey, SynthCache};
-use crate::policy::CachePolicy;
+use crate::cache::{CacheKey, CachePolicy, SynthCache};
 use crate::pipeline::build_pipeline;
 use crate::pool::WorkerPool;
 use crate::stats::{
@@ -59,18 +58,6 @@ pub enum EngineError {
         /// alongside them).
         diagnostics: Vec<lint::Diagnostic>,
     },
-    /// The request pinned a cache policy ([`BatchRequest::cache_policy`])
-    /// that differs from the one this engine's shared cache runs. The
-    /// cache is process-wide, so a per-request policy switch is
-    /// impossible — the field exists to let clients *assert* the
-    /// configuration they were tuned against, and this error is the
-    /// assertion failing.
-    CachePolicyMismatch {
-        /// Policy the request demanded.
-        requested: CachePolicy,
-        /// Policy the engine's cache actually runs.
-        active: CachePolicy,
-    },
 }
 
 impl fmt::Display for EngineError {
@@ -96,10 +83,6 @@ impl fmt::Display for EngineError {
                     None => write!(f, "item '{item}' failed lint"),
                 }
             }
-            EngineError::CachePolicyMismatch { requested, active } => write!(
-                f,
-                "request pinned cache policy '{requested}' but this engine runs '{active}'"
-            ),
         }
     }
 }
@@ -111,7 +94,6 @@ pub struct EngineBuilder {
     threads: usize,
     cache_capacity: usize,
     cache_shards: usize,
-    cache_policy: CachePolicy,
     cache: Option<Arc<SynthCache>>,
     backends: Vec<Box<dyn Synthesizer>>,
 }
@@ -137,11 +119,10 @@ impl EngineBuilder {
         self
     }
 
-    /// Cache eviction policy (default [`CachePolicy::Fifo`] — the
-    /// historic behavior). Ignored when [`EngineBuilder::shared_cache`]
-    /// is set.
-    pub fn cache_policy(mut self, p: CachePolicy) -> Self {
-        self.cache_policy = p;
+    /// Does nothing: the cache always evicts FIFO. Kept only so the
+    /// benchmark package (`benchmark/src/serve.rs`) keeps building
+    /// unchanged.
+    pub fn cache_policy(self, _policy: CachePolicy) -> Self {
         self
     }
 
@@ -162,10 +143,9 @@ impl EngineBuilder {
     /// Finalizes the engine.
     pub fn build(self) -> Engine {
         let cache = self.cache.unwrap_or_else(|| {
-            Arc::new(SynthCache::with_policy(
+            Arc::new(SynthCache::with_shards(
                 self.cache_capacity,
                 self.cache_shards,
-                self.cache_policy,
             ))
         });
         Engine {
@@ -264,7 +244,6 @@ impl Engine {
             threads: 0,
             cache_capacity: 0,
             cache_shards: crate::cache::DEFAULT_SHARDS,
-            cache_policy: CachePolicy::Fifo,
             cache: None,
             backends: Vec::new(),
         }
@@ -321,8 +300,6 @@ impl Engine {
             lint_errors: self.lint_errors.load(Ordering::Relaxed),
             lint_warnings: self.lint_warnings.load(Ordering::Relaxed),
             profile,
-            cache_policy: self.cache.policy(),
-            cache_policy_events: self.cache.policy_counters(),
         }
     }
 
@@ -465,14 +442,6 @@ impl Engine {
         parent: Option<&SpanHandle>,
     ) -> Result<BatchReport, EngineError> {
         let t0 = Instant::now();
-        // A request may pin the cache policy it expects; a mismatch is
-        // rejected before any work, like an unknown backend.
-        if let Some(requested) = req.cache_policy {
-            let active = self.cache.policy();
-            if requested != active {
-                return Err(EngineError::CachePolicyMismatch { requested, active });
-            }
-        }
         // Batch-scoped profiling accumulators. Work counters are
         // aggregated from per-job deltas in job order (deterministic);
         // allocation deltas only move while `prof::alloc` counting is
@@ -1030,68 +999,6 @@ mod tests {
     }
 
     #[test]
-    fn builder_policy_reaches_the_cache_and_default_is_fifo() {
-        assert_eq!(engine(1).cache().policy(), CachePolicy::Fifo);
-        for policy in CachePolicy::ALL {
-            let e = Engine::builder()
-                .cache_policy(policy)
-                .backend(GridsynthBackend::default())
-                .build();
-            assert_eq!(e.cache().policy(), policy);
-        }
-    }
-
-    #[test]
-    fn request_pinned_policy_mismatch_is_rejected_before_work() {
-        let e = engine(1);
-        let req = BatchRequest::new()
-            .cache_policy(CachePolicy::Lru)
-            .item(BatchItem::new("a", sample_circuit(), 1e-2, BackendKind::Gridsynth));
-        let err = e.compile_batch(&req).unwrap_err();
-        assert_eq!(
-            err,
-            EngineError::CachePolicyMismatch {
-                requested: CachePolicy::Lru,
-                active: CachePolicy::Fifo,
-            }
-        );
-        assert!(err.to_string().contains("'lru'"), "{err}");
-        assert_eq!(e.stats().cache.misses, 0, "rejected before any work");
-
-        // A matching pin compiles normally.
-        let ok = BatchRequest::new()
-            .cache_policy(CachePolicy::Fifo)
-            .item(BatchItem::new("a", sample_circuit(), 1e-2, BackendKind::Gridsynth));
-        assert!(e.compile_batch(&ok).is_ok());
-    }
-
-    #[test]
-    fn compiled_output_is_policy_independent() {
-        // The four-path fuzzer pins this across processes; this is the
-        // in-crate fast version — eviction policy may change *when* work
-        // is redone, never what is produced.
-        let c = sample_circuit();
-        let baseline = engine(2).compile(&c, BackendKind::Gridsynth, 1e-2).unwrap();
-        for policy in CachePolicy::ALL {
-            let e = Engine::builder()
-                .threads(2)
-                .cache_capacity(2) // force evictions mid-batch
-                .cache_shards(1)
-                .cache_policy(policy)
-                .backend(GridsynthBackend::default())
-                .build();
-            let r = e.compile(&c, BackendKind::Gridsynth, 1e-2).unwrap();
-            assert_eq!(
-                r.synthesized.circuit, baseline.synthesized.circuit,
-                "{policy} changed compiled output"
-            );
-            // And again warm, after churn.
-            let r2 = e.compile(&c, BackendKind::Gridsynth, 1e-2).unwrap();
-            assert_eq!(r2.synthesized.circuit, baseline.synthesized.circuit);
-        }
-    }
-
-    #[test]
     fn tiny_cache_still_correct() {
         // Capacity far below the distinct-rotation count: evictions are
         // exercised and the result must still match the sequential path.
@@ -1107,5 +1014,9 @@ mod tests {
         let seq = circuit::synthesize::synthesize_circuit(&c, |m| b.synthesize(m, 1e-2));
         assert_eq!(report.synthesized.circuit, seq.circuit);
         assert!(e.cache().stats().evictions > 0);
+        // And again warm, after churn: eviction may change *when* work
+        // is redone, never what is produced.
+        let warm = e.compile(&c, BackendKind::Gridsynth, 1e-2).unwrap();
+        assert_eq!(warm.synthesized.circuit, seq.circuit);
     }
 }

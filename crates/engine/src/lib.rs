@@ -12,18 +12,16 @@
 //!
 //! * [`cache::SynthCache`] — a sharded, thread-safe, capacity-bounded
 //!   map from `(quantized unitary, synthesizer settings)` to the
-//!   synthesized Clifford+T sequence, with hit/miss/eviction statistics.
-//!   The unitary half of the key comes from
-//!   [`circuit::synthesize::quantize_unitary`] — the same quantization the
-//!   sequential path uses, so both tiers mean the same thing by a key.
-//! * [`policy`] — the [`policy::EvictionPolicy`] trait and its four
-//!   implementations (FIFO — the default, LRU, 2Q, frequency-sketch),
-//!   selectable per engine via [`engine::EngineBuilder::cache_policy`].
+//!   synthesized Clifford+T sequence, with FIFO eviction and
+//!   hit/miss/eviction statistics. The unitary half of the key comes
+//!   from [`circuit::synthesize::quantize_unitary`] — the same
+//!   quantization the sequential path uses, so both tiers mean the same
+//!   thing by a key.
 //! * [`cachetrace`] — compact versioned binary access traces (`TRC1`):
 //!   every cache lookup/insert recorded with a stable key digest, for
-//!   offline policy simulation.
-//! * [`cachesim`] — replays a recorded trace against any policy ×
-//!   capacity configuration (the `trasyn-cachesim` binary's core),
+//!   offline cache sizing.
+//! * [`cachesim`] — replays a recorded trace against any capacity ×
+//!   shard configuration (the `trasyn-cachesim` binary's core),
 //!   bit-faithful to the live cache in parity mode.
 //! * [`pool::WorkerPool`] — a `std::thread` + channel pool that
 //!   synthesizes the *distinct* rotations of a circuit (or a whole batch)
@@ -102,7 +100,6 @@ pub mod cachetrace;
 pub mod engine;
 mod fnv;
 pub mod pipeline;
-pub mod policy;
 pub mod pool;
 pub mod snapshot;
 pub mod stats;
@@ -112,7 +109,7 @@ pub use backend::{
     TrasynBackend, MAX_EPSILON, MIN_EPSILON,
 };
 pub use batch::{BatchItem, BatchReport, BatchRequest, ItemReport};
-pub use cache::{CacheKey, CacheStats, ShardStats, SynthCache};
+pub use cache::{CacheKey, CachePolicy, CacheStats, ShardStats, SynthCache};
 pub use cachesim::{simulate, SimMode, SimOutcome};
 pub use cachetrace::{CacheTrace, TraceError, TraceEvent, TraceRecorder};
 pub use circuit::pass::{PassSpec, PassStats, PipelineSpec, PipelineSpecError, Preset};
@@ -121,7 +118,6 @@ pub use lint::{
     diagnostics_json, CheckedPipeline, Diagnostic as LintDiagnostic, Severity as LintSeverity,
 };
 pub use pipeline::build_pipeline;
-pub use policy::{CachePolicy, EvictionPolicy, PolicyCounters, PolicyKey};
 pub use pool::{PoolRunStats, WorkerPool, WorkerTotals};
 pub use snapshot::{SnapshotError, WarmStart};
 pub use stats::{

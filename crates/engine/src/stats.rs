@@ -8,7 +8,6 @@
 use crate::backend::BackendKind;
 use crate::batch::{fmt_f64, json_string};
 use crate::cache::{CacheStats, ShardStats};
-use crate::policy::{CachePolicy, PolicyCounters};
 use crate::pool::{PoolRunStats, WorkerTotals};
 use circuit::pass::PassStats;
 use std::fmt;
@@ -379,12 +378,6 @@ pub struct EngineStats {
     /// The profiling subsystem's counters (work, pool utilization,
     /// per-phase allocations, per-shard cache telemetry).
     pub profile: ProfileStats,
-    /// Eviction policy the shared cache runs ([`CachePolicy::Fifo`] is
-    /// the default and the historic behavior).
-    pub cache_policy: CachePolicy,
-    /// Lifetime policy-internal event counters (2Q promotions/demotions,
-    /// Freq sketch agings); all zero for FIFO and LRU.
-    pub cache_policy_events: PolicyCounters,
 }
 
 impl EngineStats {
@@ -403,9 +396,6 @@ impl EngineStats {
     /// subsystem, and `"work"`/`"pool"`/`"alloc"`/`"cache_shards"` in
     /// the profiling subsystem):
     ///
-    /// The cache-policy rework appended `"cache_policy"` and
-    /// `"cache_policy_events"`.
-    ///
     /// ```json
     /// {"threads": 2, "backends": ["gridsynth"], "cache_capacity": 4096,
     ///  "cache": {"hits": 9, "misses": 3, "insertions": 3, "evictions": 0,
@@ -418,9 +408,7 @@ impl EngineStats {
     ///  "alloc": {"enabled": false, "phases": {"lower": {"allocs": 0, "bytes": 0,
     ///            "peak_bytes": 0}, "synthesis": {}, "splice": {}, "verify": {}}},
     ///  "cache_shards": [{"entries": 0, "evictions": 0, "oldest_age_ms": 0,
-    ///                    "last_eviction_age_ms": 0}],
-    ///  "cache_policy": "fifo",
-    ///  "cache_policy_events": {"promotions": 0, "demotions": 0, "agings": 0}}
+    ///                    "last_eviction_age_ms": 0}]}
     /// ```
     pub fn to_json(&self) -> String {
         let backends: Vec<String> = self
@@ -452,9 +440,7 @@ impl EngineStats {
              \"lint\": {{\"errors\": {}, \"warnings\": {}}}, \
              \"work\": {}, \"pool\": {}, \
              \"alloc\": {{\"enabled\": {}, \"phases\": {}}}, \
-             \"cache_shards\": [{}], \"cache_policy\": {}, \
-             \"cache_policy_events\": {{\"promotions\": {}, \"demotions\": {}, \
-             \"agings\": {}}}}}",
+             \"cache_shards\": [{}]}}",
             self.threads,
             backends.join(", "),
             self.cache_capacity,
@@ -474,22 +460,18 @@ impl EngineStats {
             self.profile.alloc_enabled,
             self.profile.alloc.to_json(),
             shards.join(", "),
-            json_string(self.cache_policy.label()),
-            self.cache_policy_events.promotions,
-            self.cache_policy_events.demotions,
-            self.cache_policy_events.agings,
         )
     }
 }
 
 impl fmt::Display for EngineStats {
     /// One stable line (fields are append-only), e.g.
-    /// `threads=2 backends=gridsynth cache entries=3/4096 hits=9 misses=3 evictions=0 hit_rate=75.0% verify_ok=0 verify_fail=0 lint_errors=0 lint_warnings=0 cache_policy=fifo`.
+    /// `threads=2 backends=gridsynth cache entries=3/4096 hits=9 misses=3 evictions=0 hit_rate=75.0% verify_ok=0 verify_fail=0 lint_errors=0 lint_warnings=0`.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let backends: Vec<&str> = self.backends.iter().map(|b| b.label()).collect();
         write!(
             f,
-            "threads={} backends={} cache entries={}/{} hits={} misses={} evictions={} hit_rate={:.1}% verify_ok={} verify_fail={} lint_errors={} lint_warnings={} cache_policy={}",
+            "threads={} backends={} cache entries={}/{} hits={} misses={} evictions={} hit_rate={:.1}% verify_ok={} verify_fail={} lint_errors={} lint_warnings={}",
             self.threads,
             if backends.is_empty() { "none".to_string() } else { backends.join("+") },
             self.cache.entries,
@@ -502,7 +484,6 @@ impl fmt::Display for EngineStats {
             self.verify_fail,
             self.lint_errors,
             self.lint_warnings,
-            self.cache_policy,
         )
     }
 }
@@ -529,8 +510,6 @@ mod tests {
             lint_errors: 2,
             lint_warnings: 7,
             profile: ProfileStats::default(),
-            cache_policy: CachePolicy::Fifo,
-            cache_policy_events: PolicyCounters::default(),
         }
     }
 
@@ -540,7 +519,7 @@ mod tests {
             sample().to_string(),
             "threads=2 backends=gridsynth+trasyn cache entries=3/4096 \
              hits=9 misses=3 evictions=0 hit_rate=75.0% verify_ok=4 verify_fail=1 \
-             lint_errors=2 lint_warnings=7 cache_policy=fifo"
+             lint_errors=2 lint_warnings=7"
         );
         let mut unbounded = sample();
         unbounded.cache_capacity = 0;
@@ -566,8 +545,7 @@ mod tests {
              \"synthesis\": {\"allocs\": 0, \"bytes\": 0, \"peak_bytes\": 0}, \
              \"splice\": {\"allocs\": 0, \"bytes\": 0, \"peak_bytes\": 0}, \
              \"verify\": {\"allocs\": 0, \"bytes\": 0, \"peak_bytes\": 0}}}, \
-             \"cache_shards\": [], \"cache_policy\": \"fifo\", \
-             \"cache_policy_events\": {\"promotions\": 0, \"demotions\": 0, \"agings\": 0}}"
+             \"cache_shards\": []}"
         );
         let mut with_pass = sample();
         let mut t = PassTotals::named("fuse");

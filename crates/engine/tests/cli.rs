@@ -1,6 +1,8 @@
 //! Black-box tests of the `trasyn-compile` binary: every failure path
 //! exits nonzero with a clean one-line `error:` message (no panic, no
 //! backtrace), and `--cache-file` warm starts survive corrupt files.
+//! Also `trasyn-cachesim`'s parity-mode usage rules, on a trace that
+//! `trasyn-compile --cache-trace` records.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
@@ -287,6 +289,64 @@ fn cache_file_warm_starts_and_tolerates_corruption() {
     let stderr = stderr_of(&tolerant);
     assert!(stderr.contains("ignoring cache file"), "{stderr}");
     assert!(!stderr.contains("panicked"), "{stderr}");
+
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn cachesim_parity_rejects_capacities_and_shards() {
+    // Parity replays the recorded configuration only, so a capacity or
+    // shard count given with it would silently go unchecked.
+    let dir = tmp_dir("cachesim");
+    let trace = dir.join("smoke.trc");
+    let rec = run(&[
+        "--backend",
+        "gridsynth",
+        "--cache-capacity",
+        "4",
+        "--cache-trace",
+        trace.to_str().unwrap(),
+        "--out",
+        dir.join("report.json").to_str().unwrap(),
+        smoke_qasm().to_str().unwrap(),
+    ]);
+    assert_eq!(rec.status.code(), Some(0), "{}", stderr_of(&rec));
+    let cachesim = |args: &[&str]| {
+        Command::new(env!("CARGO_BIN_EXE_trasyn-cachesim"))
+            .arg("--trace")
+            .arg(&trace)
+            .args(args)
+            .output()
+            .expect("spawn trasyn-cachesim")
+    };
+
+    let ok = cachesim(&["--mode", "parity"]);
+    assert_eq!(ok.status.code(), Some(0), "{}", stderr_of(&ok));
+    assert!(stderr_of(&ok).contains("parity OK"), "{}", stderr_of(&ok));
+
+    for extra in [["--capacities", "8"], ["--shards", "2"]] {
+        for args in [
+            vec!["--mode", "parity", extra[0], extra[1]],
+            vec![extra[0], extra[1], "--mode", "parity"],
+        ] {
+            let out = cachesim(&args);
+            assert_eq!(out.status.code(), Some(2), "{args:?}: {}", stderr_of(&out));
+            let stderr = stderr_of(&out);
+            let errors = error_lines(&stderr);
+            assert_eq!(errors.len(), 1, "{stderr}");
+            assert!(errors[0].contains("--mode parity"), "{stderr}");
+        }
+    }
+
+    // The same flags still drive the reference sweep.
+    let sweep = cachesim(&["--capacities", "2,8", "--shards", "2", "--json", "-"]);
+    assert_eq!(sweep.status.code(), Some(0), "{}", stderr_of(&sweep));
+    let json = String::from_utf8_lossy(&sweep.stdout);
+    assert!(
+        json.contains("\"schema\": \"trasyn-cachesim/v2\""),
+        "{json}"
+    );
+    assert_eq!(json.matches("\"hit_rate\"").count(), 2, "{json}");
 
     std::fs::remove_dir_all(&dir).ok();
 }

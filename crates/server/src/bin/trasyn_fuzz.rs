@@ -11,9 +11,6 @@
 //!   --max-qubits N         widest generated circuit (default 3)
 //!   --max-ops N            longest generated circuit (default 12)
 //!   --no-server            skip the in-process server loopback path
-//!   --cache-policy NAME    eviction policy for every engine path:
-//!                          fifo|lru|2q|freq (default fifo) — outputs
-//!                          must stay bit-identical under every policy
 //!   --out-dir DIR          where shrunk repro artifacts go (default fuzz-artifacts)
 //!   --smoke                the CI configuration (fixed seed, 200 cases)
 //!   --replay FILE          re-run one repro artifact instead of fuzzing;
@@ -47,7 +44,7 @@ struct Options {
 fn usage() -> &'static str {
     "usage: trasyn-fuzz [--seed N] [--cases N] [--epsilon EPS] \
      [--backend trasyn|gridsynth|annealing] [--max-qubits N] [--max-ops N] \
-     [--no-server] [--cache-policy fifo|lru|2q|freq] [--out-dir DIR] [--smoke] \
+     [--no-server] [--out-dir DIR] [--smoke] \
      [--replay FILE [--pipeline SPEC]]"
 }
 
@@ -64,7 +61,6 @@ struct Overrides {
     max_qubits: Option<usize>,
     max_ops: Option<usize>,
     no_server: bool,
-    cache_policy: Option<engine::CachePolicy>,
     out_dir: Option<PathBuf>,
 }
 
@@ -123,13 +119,6 @@ fn parse_args(args: &[String]) -> Result<Option<Options>, String> {
                 );
             }
             "--no-server" => over.no_server = true,
-            "--cache-policy" => {
-                let v = value("--cache-policy")?;
-                over.cache_policy = Some(
-                    engine::CachePolicy::parse(&v)
-                        .ok_or_else(|| format!("unknown cache policy '{v}' (fifo|lru|2q|freq)"))?,
-                );
-            }
             "--out-dir" => over.out_dir = Some(PathBuf::from(value("--out-dir")?)),
             "--smoke" => smoke = true,
             "--replay" => replay = Some(PathBuf::from(value("--replay")?)),
@@ -172,9 +161,6 @@ fn parse_args(args: &[String]) -> Result<Option<Options>, String> {
     }
     if over.no_server {
         cfg.with_server = false;
-    }
-    if let Some(v) = over.cache_policy {
-        cfg.cache_policy = v;
     }
     if let Some(v) = over.out_dir {
         cfg.out_dir = Some(v);
@@ -237,7 +223,7 @@ fn main() -> ExitCode {
     }
 
     eprintln!(
-        "[trasyn-fuzz] seed {}, {} case(s), backend {}, epsilon {}, max {} qubits x {} ops, server {}, cache policy {}",
+        "[trasyn-fuzz] seed {}, {} case(s), backend {}, epsilon {}, max {} qubits x {} ops, server {}",
         opts.cfg.seed,
         opts.cfg.cases,
         opts.cfg.backend.label(),
@@ -245,7 +231,6 @@ fn main() -> ExitCode {
         opts.cfg.max_qubits,
         opts.cfg.max_ops,
         if opts.cfg.with_server { "on" } else { "off" },
-        opts.cfg.cache_policy,
     );
     let report = match fuzz::run_fuzz(opts.cfg) {
         Ok(r) => r,

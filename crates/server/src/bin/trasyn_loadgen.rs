@@ -467,10 +467,6 @@ struct ServerStats {
     available: bool,
     cache_hits: f64,
     cache_misses: f64,
-    /// The server's active eviction policy, from the
-    /// `trasyn_cache_policy{policy="..."}` info gauge (empty when the
-    /// server predates the family).
-    cache_policy: String,
     queue_wait_ms_mean: f64,
     service_ms_mean: f64,
     slow_requests: f64,
@@ -509,16 +505,10 @@ impl ServerStats {
                 }
             })
             .collect();
-        let cache_policy = labeled_metric(&resp.body, "trasyn_cache_policy", "policy")
-            .into_iter()
-            .find(|(_, v)| *v == 1.0)
-            .map(|(k, _)| k)
-            .unwrap_or_default();
         ServerStats {
             available: true,
             cache_hits: m("trasyn_cache_hits_total"),
             cache_misses: m("trasyn_cache_misses_total"),
-            cache_policy,
             queue_wait_ms_mean: mean(m("trasyn_queue_wait_ms_sum"), m("trasyn_queue_wait_ms_count")),
             service_ms_mean: mean(m("trasyn_service_ms_sum"), m("trasyn_service_ms_count")),
             slow_requests: m("trasyn_slow_requests_total"),
@@ -691,7 +681,7 @@ fn snapshot_json(
         jnum(mean),
     ));
     s.push_str(&format!(
-        "  \"server\": {{\"available\": {}, \"cache_hits\": {:.0}, \"cache_misses\": {:.0}, \"cache_hit_rate\": {}, \"queue_wait_ms_mean\": {}, \"service_ms_mean\": {}, \"slow_requests\": {:.0}, \"cache_policy\": {}}},\n",
+        "  \"server\": {{\"available\": {}, \"cache_hits\": {:.0}, \"cache_misses\": {:.0}, \"cache_hit_rate\": {}, \"queue_wait_ms_mean\": {}, \"service_ms_mean\": {}, \"slow_requests\": {:.0}}},\n",
         server.available,
         server.cache_hits,
         server.cache_misses,
@@ -699,7 +689,6 @@ fn snapshot_json(
         jnum(server.queue_wait_ms_mean),
         jnum(server.service_ms_mean),
         server.slow_requests,
-        server::json::escape(&server.cache_policy),
     ));
     let passes: Vec<String> = server
         .passes
@@ -943,15 +932,10 @@ fn load_run(opts: &Options) -> ExitCode {
     let server = ServerStats::scrape(&opts.addr);
     if server.available {
         println!(
-            "  server cache: {:.0} hits, {:.0} misses ({:.1}% hit rate, policy {})",
+            "  server cache: {:.0} hits, {:.0} misses ({:.1}% hit rate)",
             server.cache_hits,
             server.cache_misses,
             100.0 * server.hit_rate(),
-            if server.cache_policy.is_empty() {
-                "unknown"
-            } else {
-                &server.cache_policy
-            },
         );
         println!(
             "  server time: queue-wait mean {:.3} ms, service mean {:.3} ms, {:.0} slow request(s)",
@@ -1174,10 +1158,6 @@ fn smoke(opts: &Options) -> Result<(), String> {
         "trasyn_conn_timeouts_total",
         "trasyn_event_loop_iterations_total",
         "trasyn_event_wakeups_total",
-        "trasyn_cache_policy{policy=",
-        "trasyn_cache_policy_promotions_total",
-        "trasyn_cache_policy_demotions_total",
-        "trasyn_cache_policy_agings_total",
     ] {
         if !resp.body.contains(needle) {
             return Err(format!("metrics missing {needle:?}"));

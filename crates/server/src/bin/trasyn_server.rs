@@ -16,7 +16,6 @@
 //!   --keepalive-timeout-ms N  idle keep-alive reap timeout (default 5000)
 //!   --threads N            synthesis worker threads per request (default 1)
 //!   --cache-capacity N     shared-cache entries, 0 = unbounded (default 65536)
-//!   --cache-policy NAME    eviction policy: fifo|lru|2q|freq (default fifo)
 //!   --cache-trace FILE     record the cache access trace (TRC1) and save it
 //!                          to FILE on shutdown; replay with trasyn-cachesim
 //!   --cache-file FILE      warm-start from FILE on boot, save on shutdown/signal
@@ -48,9 +47,7 @@
 //!
 //! Exit codes: 0 clean shutdown, 1 startup/save failure, 2 usage error.
 
-use engine::{
-    AnnealingBackend, BackendKind, CachePolicy, Engine, GridsynthBackend, TrasynBackend, WarmStart,
-};
+use engine::{AnnealingBackend, BackendKind, Engine, GridsynthBackend, TrasynBackend, WarmStart};
 use server::{Server, ServerConfig};
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -68,7 +65,6 @@ struct Options {
     keepalive_timeout_ms: u64,
     threads: usize,
     cache_capacity: usize,
-    cache_policy: CachePolicy,
     cache_trace: Option<PathBuf>,
     cache_file: Option<PathBuf>,
     backend: BackendKind,
@@ -83,8 +79,7 @@ struct Options {
 fn usage() -> &'static str {
     "usage: trasyn-server [--addr HOST:PORT] [--addr-file FILE] [--http-workers N] \
      [--queue-depth N] [--max-conns N] [--read-timeout-ms N] \
-     [--keepalive-timeout-ms N] [--threads N] [--cache-capacity N] \
-     [--cache-policy fifo|lru|2q|freq] [--cache-trace FILE] \
+     [--keepalive-timeout-ms N] [--threads N] [--cache-capacity N] [--cache-trace FILE] \
      [--cache-file FILE] [--backend trasyn|gridsynth|annealing] [--epsilon EPS] \
      [--profile] [--with-trasyn] [--max-t N] [--samples N] [--no-trace] [--trace-sample N] \
      [--trace-ring N] [--trace-slow-ms X] [--trace-seed N]"
@@ -101,7 +96,6 @@ fn parse_args(args: &[String]) -> Result<Option<Options>, String> {
         keepalive_timeout_ms: 5000,
         threads: 1,
         cache_capacity: 65536,
-        cache_policy: CachePolicy::Fifo,
         cache_trace: None,
         cache_file: None,
         backend: BackendKind::Gridsynth,
@@ -142,11 +136,6 @@ fn parse_args(args: &[String]) -> Result<Option<Options>, String> {
             "--threads" => opts.threads = parse_usize("--threads", value("--threads")?)?,
             "--cache-capacity" => {
                 opts.cache_capacity = parse_usize("--cache-capacity", value("--cache-capacity")?)?;
-            }
-            "--cache-policy" => {
-                let v = value("--cache-policy")?;
-                opts.cache_policy = CachePolicy::parse(&v)
-                    .ok_or_else(|| format!("unknown cache policy '{v}' (fifo|lru|2q|freq)"))?;
             }
             "--cache-trace" => opts.cache_trace = Some(PathBuf::from(value("--cache-trace")?)),
             "--cache-file" => opts.cache_file = Some(PathBuf::from(value("--cache-file")?)),
@@ -279,7 +268,6 @@ fn main() -> ExitCode {
     let mut builder = Engine::builder()
         .threads(opts.threads)
         .cache_capacity(opts.cache_capacity)
-        .cache_policy(opts.cache_policy)
         .backend(GridsynthBackend::default())
         .backend(AnnealingBackend::default());
     if opts.with_trasyn || opts.backend == BackendKind::Trasyn {

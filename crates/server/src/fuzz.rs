@@ -39,7 +39,7 @@ use circuit::pass::PipelineSpec;
 use circuit::qasm::{parse_qasm, to_qasm};
 use circuit::Circuit;
 use engine::batch::json_string;
-use engine::{BackendKind, BatchItem, BatchRequest, CachePolicy, Engine, TrasynBackend};
+use engine::{BackendKind, BatchItem, BatchRequest, Engine, TrasynBackend};
 use std::cell::Cell;
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
@@ -64,11 +64,6 @@ pub struct FuzzConfig {
     pub max_ops: usize,
     /// Also run the in-process server loopback path.
     pub with_server: bool,
-    /// Eviction policy for every engine the harness builds — all four
-    /// compile paths must stay bit-identical under every policy, since a
-    /// policy only decides *which* entry to drop, never what a cached
-    /// entry contains.
-    pub cache_policy: CachePolicy,
     /// Where shrunk repro artifacts are written (`None`: keep in memory
     /// only).
     pub out_dir: Option<PathBuf>,
@@ -86,7 +81,6 @@ impl FuzzConfig {
             max_qubits: 3,
             max_ops: 12,
             with_server: true,
-            cache_policy: CachePolicy::Fifo,
             out_dir: Some(PathBuf::from("fuzz-artifacts")),
         }
     }
@@ -470,9 +464,7 @@ fn fresh_engine(
     trasyn_table: &Option<Arc<trasyn::Trasyn>>,
     threads: usize,
 ) -> Engine {
-    let builder = Engine::builder()
-        .threads(threads)
-        .cache_policy(cfg.cache_policy);
+    let builder = Engine::builder().threads(threads);
     match cfg.backend {
         BackendKind::Trasyn => {
             let table = trasyn_table.as_ref().expect("table built in Harness::new");
@@ -632,33 +624,5 @@ mod tests {
         );
         assert_eq!(report.cases, 12);
         assert!(report.compiles >= 36, "three engine paths per case");
-    }
-
-    #[test]
-    fn fuzz_is_green_under_every_cache_policy() {
-        // The eviction policy decides *which* entry to drop, never what a
-        // cached entry contains — so all paths must stay bit-identical
-        // under every policy. CI runs the full `--smoke` campaign per
-        // policy; this is the in-tree miniature of that matrix.
-        for policy in engine::CachePolicy::ALL {
-            let cfg = FuzzConfig {
-                cases: 4,
-                max_ops: 8,
-                with_server: false,
-                cache_policy: policy,
-                out_dir: None,
-                ..FuzzConfig::smoke()
-            };
-            let report = run_fuzz(cfg).expect("harness starts");
-            assert!(
-                report.all_green(),
-                "policy {policy}: differential failures: {:?}",
-                report
-                    .failures
-                    .iter()
-                    .map(|f| &f.reason)
-                    .collect::<Vec<_>>()
-            );
-        }
     }
 }

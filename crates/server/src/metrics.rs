@@ -484,32 +484,6 @@ impl Metrics {
             "trasyn_event_wakeups_total {}",
             self.event_wakeups.load(Ordering::Relaxed)
         ));
-
-        // Cache-policy families (appended after the historic ones; the
-        // whole exposition stays append-only). The active policy is an
-        // info-style gauge — one series, labelled with the policy name —
-        // and the per-policy event counters describe what the policy did
-        // (zeros for policies without the mechanism, e.g. FIFO).
-        line("# TYPE trasyn_cache_policy gauge".into());
-        line(format!(
-            "trasyn_cache_policy{{policy=\"{}\"}} 1",
-            engine.cache_policy.label()
-        ));
-        line("# TYPE trasyn_cache_policy_promotions_total counter".into());
-        line(format!(
-            "trasyn_cache_policy_promotions_total {}",
-            engine.cache_policy_events.promotions
-        ));
-        line("# TYPE trasyn_cache_policy_demotions_total counter".into());
-        line(format!(
-            "trasyn_cache_policy_demotions_total {}",
-            engine.cache_policy_events.demotions
-        ));
-        line("# TYPE trasyn_cache_policy_agings_total counter".into());
-        line(format!(
-            "trasyn_cache_policy_agings_total {}",
-            engine.cache_policy_events.agings
-        ));
         out
     }
 }
@@ -518,8 +492,8 @@ impl Metrics {
 mod tests {
     use super::*;
     use engine::{
-        AllocTotals, BackendKind, CachePolicy, CacheStats, PhaseAllocs, PolicyCounters, PoolTotals,
-        ProfileStats, ShardStats, WorkTotals, WorkerTotals,
+        AllocTotals, BackendKind, CacheStats, PhaseAllocs, PoolTotals, ProfileStats, ShardStats,
+        WorkTotals, WorkerTotals,
     };
 
     fn stats() -> EngineStats {
@@ -544,12 +518,6 @@ mod tests {
             verify_fail: 2,
             lint_errors: 4,
             lint_warnings: 9,
-            cache_policy: CachePolicy::TwoQ,
-            cache_policy_events: PolicyCounters {
-                promotions: 7,
-                demotions: 3,
-                agings: 0,
-            },
             profile: ProfileStats {
                 alloc_enabled: true,
                 work: WorkTotals {
@@ -714,20 +682,5 @@ mod tests {
         // Appended after every pre-existing family.
         let idx = text.find("trasyn_conns_open").unwrap();
         assert!(idx > text.find("trasyn_cache_shard_evictions_total").unwrap());
-    }
-
-    #[test]
-    fn cache_policy_families_render_after_everything_else() {
-        let m = Metrics::new();
-        let text = m.render(&stats(), 0);
-        assert!(text.contains("# TYPE trasyn_cache_policy gauge"));
-        assert!(text.contains("trasyn_cache_policy{policy=\"2q\"} 1"));
-        assert!(text.contains("trasyn_cache_policy_promotions_total 7"));
-        assert!(text.contains("trasyn_cache_policy_demotions_total 3"));
-        assert!(text.contains("trasyn_cache_policy_agings_total 0"));
-        // Append-only: the policy block comes after the event-core block,
-        // the previous tail of the exposition.
-        let idx = text.find("trasyn_cache_policy{").unwrap();
-        assert!(idx > text.find("trasyn_event_wakeups_total").unwrap());
     }
 }

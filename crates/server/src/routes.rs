@@ -36,11 +36,10 @@
 //! * `POST /v1/batch` — `{"items": [<compile objects>]}`; responds with
 //!   the engine's `BatchReport` JSON.
 //!
-//! Both POST endpoints accept an optional top-level `"cache_policy"`
-//! string (`"fifo"`, `"lru"`, `"2q"`, `"freq"`): an *assertion*, not a
-//! request — if the server's cache runs a different eviction policy the
-//! request is rejected with a 400 rather than silently serving
-//! different cache behaviour than the client benchmarked against.
+//! Both POST endpoints reject the removed top-level `"cache_policy"`
+//! assertion with a 400 that names it: the cache always evicts FIFO, so
+//! a client that pinned another policy learns that it is now served
+//! FIFO instead of being served it silently.
 //!
 //! Defaults: `epsilon` and `backend` come from
 //! [`crate::service::ServerConfig`];
@@ -60,7 +59,7 @@ use crate::http::{self, Request};
 use crate::json::{self, Value};
 use crate::metrics::Endpoint;
 use crate::service::Shared;
-use engine::{BackendKind, BatchItem, BatchRequest, CachePolicy, PipelineSpec};
+use engine::{BackendKind, BatchItem, BatchRequest, PipelineSpec};
 use std::io::Write;
 use trace::SpanHandle;
 
@@ -365,37 +364,28 @@ fn parse_item(v: &Value, shared: &Shared, index: usize) -> Result<BatchItem, Api
         .lint(lint))
 }
 
-/// Parses the optional top-level `"cache_policy"` assertion: clients
-/// that benchmarked against a specific eviction policy can pin it, and
-/// a server running a different one rejects the request with a 400
-/// instead of silently serving different cache behaviour.
-fn parse_cache_policy(v: &Value) -> Result<Option<CachePolicy>, ApiError> {
-    match v.get("cache_policy") {
-        None => Ok(None),
-        Some(p) => {
-            let label = p.as_str().ok_or_else(|| {
-                ApiError::from((400, "\"cache_policy\" must be a string".to_string()))
-            })?;
-            CachePolicy::parse(label).map(Some).ok_or_else(|| {
-                ApiError::from((
-                    400,
-                    format!("unknown cache policy \"{label}\" (fifo|lru|2q|freq)"),
-                ))
-            })
-        }
+/// Rejects the removed top-level `"cache_policy"` assertion, whatever
+/// policy it names.
+fn reject_cache_policy(v: &Value) -> Result<(), ApiError> {
+    if v.get("cache_policy").is_some() {
+        return Err((
+            400,
+            "\"cache_policy\" was removed; the cache always evicts FIFO".to_string(),
+        )
+            .into());
     }
+    Ok(())
 }
 
 fn compile(req: &Request, shared: &Shared, span: Option<&SpanHandle>) -> RouteResult {
     let parse_span = span.map(|s| s.child("parse"));
     let body = parse_body(req)?;
+    reject_cache_policy(&body)?;
     let item = parse_item(&body, shared, 0)?;
-    let cache_policy = parse_cache_policy(&body)?;
     drop(parse_span);
     let compile_span = span.map(|s| s.child("compile"));
     let compile_handle = compile_span.as_ref().map(trace::Span::handle);
-    let mut request = BatchRequest::new().item(item);
-    request.cache_policy = cache_policy;
+    let request = BatchRequest::new().item(item);
     let report = shared
         .engine
         .compile_batch_traced(&request, compile_handle.as_ref())
@@ -416,6 +406,7 @@ fn compile(req: &Request, shared: &Shared, span: Option<&SpanHandle>) -> RouteRe
 fn batch(req: &Request, shared: &Shared, span: Option<&SpanHandle>) -> RouteResult {
     let parse_span = span.map(|s| s.child("parse"));
     let body = parse_body(req)?;
+    reject_cache_policy(&body)?;
     let items = body
         .get("items")
         .and_then(|v| v.as_arr())
@@ -431,7 +422,6 @@ fn batch(req: &Request, shared: &Shared, span: Option<&SpanHandle>) -> RouteResu
             .into());
     }
     let mut request = BatchRequest::new();
-    request.cache_policy = parse_cache_policy(&body)?;
     for (i, v) in items.iter().enumerate() {
         request.items.push(parse_item(v, shared, i)?);
     }

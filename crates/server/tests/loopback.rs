@@ -652,70 +652,44 @@ fn debug_profile_reports_work_pool_and_queue_sampling() {
 }
 
 #[test]
-fn cache_policy_assertion_is_enforced_and_exported() {
-    // A server whose engine runs LRU: requests that pin "lru" pass,
-    // requests that pin a different policy get a 400 before any work,
-    // and /metrics names the active policy.
+fn removed_cache_policy_field_is_rejected_before_work() {
+    // The cache always evicts FIFO. A body that still pins a policy —
+    // even "fifo" — gets a 400 naming the field, so a client tuned
+    // against another policy learns it is now served FIFO.
     let eng = Arc::new(
         Engine::builder()
             .threads(1)
             .cache_capacity(4096)
-            .cache_policy(engine::CachePolicy::Lru)
             .backend(GridsynthBackend::default())
             .build(),
     );
     let handle = Server::start("127.0.0.1:0", config(), eng).unwrap();
     let mut c = connect(handle.addr());
 
+    for (path, body) in [
+        ("/v1/compile", "{\"rz\": 0.25, \"cache_policy\": \"fifo\"}"),
+        ("/v1/compile", "{\"rz\": 0.5, \"cache_policy\": \"lru\"}"),
+        (
+            "/v1/batch",
+            "{\"cache_policy\": \"freq\", \"items\": [{\"rz\": 0.5}]}",
+        ),
+    ] {
+        let resp = c.request("POST", path, Some(body)).unwrap();
+        assert_eq!(resp.status, 400, "{path} {body}: {}", resp.body);
+        assert!(resp.body.contains("cache_policy"), "{}", resp.body);
+        assert!(resp.body.contains("FIFO"), "{}", resp.body);
+    }
+
+    // Rejected before touching the cache, and no policy is exported.
+    let m = c.request("GET", "/metrics", None).unwrap();
+    assert_eq!(metric(&m.body, "trasyn_cache_misses_total"), 0);
+    assert!(!m.body.contains("cache_policy"), "{}", m.body);
+
+    // Without the field the same request compiles.
     let ok = c
-        .request(
-            "POST",
-            "/v1/compile",
-            Some("{\"rz\": 0.25, \"cache_policy\": \"lru\"}"),
-        )
+        .request("POST", "/v1/compile", Some("{\"rz\": 0.25}"))
         .unwrap();
     assert_eq!(ok.status, 200, "{}", ok.body);
-
-    let mismatch = c
-        .request(
-            "POST",
-            "/v1/compile",
-            Some("{\"rz\": 0.5, \"cache_policy\": \"freq\"}"),
-        )
-        .unwrap();
-    assert_eq!(mismatch.status, 400, "{}", mismatch.body);
-    assert!(mismatch.body.contains("'freq'"), "{}", mismatch.body);
-    assert!(mismatch.body.contains("'lru'"), "{}", mismatch.body);
-
-    let unknown = c
-        .request(
-            "POST",
-            "/v1/batch",
-            Some("{\"cache_policy\": \"arc\", \"items\": [{\"rz\": 0.5}]}"),
-        )
-        .unwrap();
-    assert_eq!(unknown.status, 400, "{}", unknown.body);
-    assert!(unknown.body.contains("arc"), "{}", unknown.body);
-
-    let batch_ok = c
-        .request(
-            "POST",
-            "/v1/batch",
-            Some("{\"cache_policy\": \"lru\", \"items\": [{\"rz\": 0.5}]}"),
-        )
-        .unwrap();
-    assert_eq!(batch_ok.status, 200, "{}", batch_ok.body);
-
-    let m = c.request("GET", "/metrics", None).unwrap();
-    assert!(
-        m.body.contains("trasyn_cache_policy{policy=\"lru\"} 1"),
-        "{}",
-        m.body
-    );
-    assert!(m.body.contains("trasyn_cache_policy_promotions_total"), "{}", m.body);
-    // The mismatch was rejected before touching the cache: exactly the
-    // two successful compiles' lookups are counted.
-    assert_eq!(metric(&m.body, "trasyn_cache_misses_total"), 2);
 
     handle.shutdown();
 }

@@ -8,8 +8,8 @@
 //! only requires extending the golden text.
 
 use engine::{
-    AllocTotals, BackendKind, CachePolicy, CacheStats, EngineStats, PassTotals, PhaseAllocs,
-    PolicyCounters, PoolTotals, ProfileStats, ShardStats, WorkTotals, WorkerTotals,
+    AllocTotals, BackendKind, CacheStats, EngineStats, PassTotals, PhaseAllocs, PoolTotals,
+    ProfileStats, ShardStats, WorkTotals, WorkerTotals,
 };
 use server::{Endpoint, Metrics};
 
@@ -43,12 +43,6 @@ fn stats() -> EngineStats {
         verify_fail: 2,
         lint_errors: 4,
         lint_warnings: 9,
-        cache_policy: CachePolicy::TwoQ,
-        cache_policy_events: PolicyCounters {
-            promotions: 7,
-            demotions: 3,
-            agings: 2,
-        },
         profile: ProfileStats {
             alloc_enabled: true,
             work: WorkTotals {

@@ -36,7 +36,6 @@ fn config(out_dir: std::path::PathBuf) -> FuzzConfig {
         max_qubits: 2,
         max_ops: 8,
         with_server: true,
-        cache_policy: engine::CachePolicy::Fifo,
         out_dir: Some(out_dir),
     }
 }

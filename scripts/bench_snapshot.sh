@@ -19,14 +19,13 @@
 #   SWEEP=500:500:8 scripts/bench_snapshot.sh     # open-loop saturation sweep
 #   OPEN_LOOP=1 RATE=1000 scripts/bench_snapshot.sh
 #       # one open-loop step at a fixed offered rate
-#   CACHE_POLICY=lru scripts/bench_snapshot.sh    # eviction policy under test
 #   CACHE_TRACE=run.trc scripts/bench_snapshot.sh
 #       # also record the cache access trace (replay: trasyn-cachesim)
 #
 # Knobs (env): REQUESTS, CONNECTIONS, MIX, SEED, OUT, APPEND, PROFILE,
 # PROFILE_OUT, HTTP_WORKERS, QUEUE_DEPTH, MAX_CONNS, KEEPALIVE_MS,
 # OPEN_LOOP, RATE, SWEEP (START:STEP:COUNT), SWEEP_STEP_SECS,
-# CACHE_POLICY (fifo|lru|2q|freq), CACHE_TRACE.
+# CACHE_TRACE.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -46,7 +45,6 @@ OPEN_LOOP="${OPEN_LOOP:-0}"
 RATE="${RATE:-0}"
 SWEEP="${SWEEP:-}"
 SWEEP_STEP_SECS="${SWEEP_STEP_SECS:-3}"
-CACHE_POLICY="${CACHE_POLICY:-fifo}"
 CACHE_TRACE="${CACHE_TRACE:-}"
 
 GIT_REV="$(git rev-parse --short HEAD 2>/dev/null || echo unknown)"
@@ -63,7 +61,7 @@ cleanup() {
 }
 trap cleanup EXIT
 
-SERVER_FLAGS=(--cache-policy "$CACHE_POLICY")
+SERVER_FLAGS=()
 [ "$PROFILE" = "1" ] && SERVER_FLAGS+=(--profile)
 [ -n "$CACHE_TRACE" ] && SERVER_FLAGS+=(--cache-trace "$CACHE_TRACE")
 ./target/release/trasyn-server \
