@@ -31,10 +31,11 @@
 //!   oracle, and shrunk QASM repro artifacts on mismatch.
 //!
 //! Three binaries ship with the crate: `trasyn-server` (the daemon),
-//! `trasyn-loadgen` (a closed-loop load generator that drives request
-//! mixes from [`workloads::requests`] and reports latency, throughput,
-//! and cache hit rate), and `trasyn-fuzz` (the differential fuzzer; its
-//! `--smoke` mode is a CI gate). See the root README for usage.
+//! `trasyn-loadgen` (a load generator that drives request mixes from
+//! [`workloads::requests`] closed loop, open loop or as a saturation
+//! sweep, and reports latency, throughput, and cache hit rate), and
+//! `trasyn-fuzz` (the differential fuzzer; its `--smoke` mode is a CI
+//! gate). See the root README for usage.
 //!
 //! # Determinism
 //!
@@ -48,7 +49,6 @@
 // unreachable.
 #![cfg_attr(not(target_os = "linux"), allow(dead_code))]
 
-pub mod bench;
 pub mod client;
 #[cfg(target_os = "linux")]
 pub(crate) mod event;
