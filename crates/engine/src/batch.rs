@@ -9,7 +9,7 @@
 
 use crate::backend::BackendKind;
 use crate::cache::CacheStats;
-use crate::stats::{PassTotals, WorkTotals};
+use crate::stats::{work_json, PassTotals};
 use circuit::pass::{PassStats, PipelineSpec};
 use circuit::synthesize::SynthesizedCircuit;
 use circuit::Circuit;
@@ -47,7 +47,12 @@ pub struct BatchItem {
 
 impl BatchItem {
     /// An item lowered through the `default` preset, without verification.
-    pub fn new(name: impl Into<String>, circuit: Circuit, epsilon: f64, backend: BackendKind) -> Self {
+    pub fn new(
+        name: impl Into<String>,
+        circuit: Circuit,
+        epsilon: f64,
+        backend: BackendKind,
+    ) -> Self {
         BatchItem {
             name: name.into(),
             circuit,
@@ -178,7 +183,9 @@ impl ItemReport {
         }
         if include_qasm {
             s.push_str(", \"qasm\": ");
-            s.push_str(&json_string(&circuit::qasm::to_qasm(&self.synthesized.circuit)));
+            s.push_str(&json_string(&circuit::qasm::to_qasm(
+                &self.synthesized.circuit,
+            )));
         }
         s.push('}');
         s
@@ -225,7 +232,7 @@ pub struct BatchReport {
     pub cache: CacheStats,
     /// Synthesis work counters for this batch (per-job deltas summed in
     /// job order, plus the cache probes of the phase-1 scan).
-    pub work: WorkTotals,
+    pub work: prof::WorkSnapshot,
 }
 
 impl BatchReport {
@@ -236,28 +243,60 @@ impl BatchReport {
         push_kv(&mut s, 1, "wall_ms", &fmt_f64(self.wall_ms), true);
         push_kv(&mut s, 1, "synthesis_ms", &fmt_f64(self.synthesis_ms), true);
         push_kv(&mut s, 1, "cache_hits", &self.cache_hits.to_string(), true);
-        push_kv(&mut s, 1, "cache_misses", &self.cache_misses.to_string(), true);
-        push_kv(&mut s, 1, "total_t_count", &self.total_t_count.to_string(), true);
+        push_kv(
+            &mut s,
+            1,
+            "cache_misses",
+            &self.cache_misses.to_string(),
+            true,
+        );
+        push_kv(
+            &mut s,
+            1,
+            "total_t_count",
+            &self.total_t_count.to_string(),
+            true,
+        );
         push_kv(&mut s, 1, "total_error", &fmt_f64(self.total_error), true);
         s.push_str("  \"cache\": {\n");
         push_kv(&mut s, 2, "hits", &self.cache.hits.to_string(), true);
         push_kv(&mut s, 2, "misses", &self.cache.misses.to_string(), true);
-        push_kv(&mut s, 2, "insertions", &self.cache.insertions.to_string(), true);
-        push_kv(&mut s, 2, "evictions", &self.cache.evictions.to_string(), true);
+        push_kv(
+            &mut s,
+            2,
+            "insertions",
+            &self.cache.insertions.to_string(),
+            true,
+        );
+        push_kv(
+            &mut s,
+            2,
+            "evictions",
+            &self.cache.evictions.to_string(),
+            true,
+        );
         push_kv(&mut s, 2, "entries", &self.cache.entries.to_string(), false);
         s.push_str("  },\n");
-        push_kv(&mut s, 1, "work", &self.work.to_json(), true);
+        push_kv(&mut s, 1, "work", &work_json(&self.work), true);
         s.push_str("  \"passes\": [\n");
         for (i, p) in self.passes.iter().enumerate() {
             s.push_str("    ");
             s.push_str(&p.to_json());
-            s.push_str(if i + 1 == self.passes.len() { "\n" } else { ",\n" });
+            s.push_str(if i + 1 == self.passes.len() {
+                "\n"
+            } else {
+                ",\n"
+            });
         }
         s.push_str("  ],\n  \"items\": [\n");
         for (i, it) in self.items.iter().enumerate() {
             s.push_str("    ");
             s.push_str(&it.to_json(false));
-            s.push_str(if i + 1 == self.items.len() { "\n" } else { ",\n" });
+            s.push_str(if i + 1 == self.items.len() {
+                "\n"
+            } else {
+                ",\n"
+            });
         }
         s.push_str("  ]\n}\n");
         s
@@ -289,8 +328,10 @@ pub fn fmt_f64(x: f64) -> String {
     }
 }
 
-/// Escapes `raw` as a JSON string literal, quotes included. The one
-/// string-escaping routine shared by every JSON writer in the workspace.
+/// Escapes `raw` as a JSON string literal, quotes included. Shared by
+/// every JSON writer in this crate and in `server`; `trace` and `lint`
+/// sit below this crate in the dependency graph and keep their own
+/// copies.
 pub fn json_string(raw: &str) -> String {
     let mut out = String::with_capacity(raw.len() + 2);
     out.push('"');

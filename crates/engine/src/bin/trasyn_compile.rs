@@ -9,9 +9,6 @@
 //!   --epsilon EPS          per-rotation error threshold (default 1e-2)
 //!   --threads N            synthesis worker threads, 0 = all cores (default 0)
 //!   --cache-capacity N     shared-cache entries, 0 = unbounded (default 4096)
-//!   --cache-trace FILE     record every cache access (hit/miss/insert/
-//!                          warm-start load) and save the TRC1 binary
-//!                          trace to FILE on exit, for `trasyn-cachesim`
 //!   --samples N            trasyn samples per pass (default 1024)
 //!   --max-t N              trasyn per-tensor T budget (default 6)
 //!   --pipeline SPEC        lowering pipeline: a preset (none|fast|default|
@@ -50,8 +47,8 @@
 //! 2 usage error.
 
 use engine::{
-    AnnealingBackend, BackendKind, BatchItem, BatchRequest, Engine, GridsynthBackend,
-    PipelineSpec, TrasynBackend,
+    AnnealingBackend, BackendKind, BatchItem, BatchRequest, Engine, GridsynthBackend, PipelineSpec,
+    TrasynBackend,
 };
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
@@ -62,7 +59,6 @@ struct Options {
     epsilon: f64,
     threads: usize,
     cache_capacity: usize,
-    cache_trace: Option<PathBuf>,
     samples: usize,
     max_t: usize,
     pipeline: PipelineSpec,
@@ -79,7 +75,7 @@ struct Options {
 
 fn usage() -> &'static str {
     "usage: trasyn-compile [--backend trasyn|gridsynth|annealing] [--epsilon EPS] \
-     [--threads N] [--cache-capacity N] [--cache-trace FILE] [--samples N] [--max-t N] \
+     [--threads N] [--cache-capacity N] [--samples N] [--max-t N] \
      [--pipeline none|fast|default|aggressive|zx|PASS,PASS,...] \
      [--verify] [--profile] [--lint] [--deny-warnings] [--emit-qasm DIR] [--trace FILE] \
      [--trace-tree FILE] [--out FILE] [--cache-file FILE] <FILE.qasm>..."
@@ -93,7 +89,6 @@ fn parse_args(args: &[String]) -> Result<Option<Options>, String> {
         epsilon: 1e-2,
         threads: 0,
         cache_capacity: 4096,
-        cache_trace: None,
         samples: 1024,
         max_t: 6,
         pipeline: PipelineSpec::default(),
@@ -117,8 +112,8 @@ fn parse_args(args: &[String]) -> Result<Option<Options>, String> {
         match a.as_str() {
             "--backend" => {
                 let v = value("--backend")?;
-                opts.backend = BackendKind::parse(&v)
-                    .ok_or_else(|| format!("unknown backend '{v}'"))?;
+                opts.backend =
+                    BackendKind::parse(&v).ok_or_else(|| format!("unknown backend '{v}'"))?;
             }
             "--epsilon" => {
                 opts.epsilon = value("--epsilon")?
@@ -134,9 +129,6 @@ fn parse_args(args: &[String]) -> Result<Option<Options>, String> {
                 opts.cache_capacity = value("--cache-capacity")?
                     .parse()
                     .map_err(|_| "--cache-capacity needs an integer".to_string())?;
-            }
-            "--cache-trace" => {
-                opts.cache_trace = Some(PathBuf::from(value("--cache-trace")?));
             }
             "--samples" => {
                 opts.samples = value("--samples")?
@@ -185,8 +177,10 @@ fn parse_args(args: &[String]) -> Result<Option<Options>, String> {
 /// different directories sharing a stem (`a/bell.qasm`, `b/bell.qasm`)
 /// keep distinct report names and `--emit-qasm` output paths.
 fn unique_stem(p: &Path, used: &mut std::collections::HashSet<String>) -> String {
-    let base = p
-        .file_stem().map_or_else(|| "circuit".to_string(), |s| s.to_string_lossy().into_owned());
+    let base = p.file_stem().map_or_else(
+        || "circuit".to_string(),
+        |s| s.to_string_lossy().into_owned(),
+    );
     let mut name = base.clone();
     let mut n = 2usize;
     while !used.insert(name.clone()) {
@@ -231,14 +225,13 @@ fn main() -> ExitCode {
     }
     let eng = builder.build();
 
-    // Attach the trace recorder before the warm start so the replay sees
-    // the same initial residency the live cache had.
-    let recorder = opts.cache_trace.as_ref().map(|_| eng.cache().start_recording());
-
     if let Some(path) = &opts.cache_file {
         match engine::snapshot::warm_from_file(eng.cache(), path) {
             engine::WarmStart::Loaded(n) => {
-                eprintln!("[trasyn-compile] warm start: {n} cache entries from {}", path.display());
+                eprintln!(
+                    "[trasyn-compile] warm start: {n} cache entries from {}",
+                    path.display()
+                );
             }
             engine::WarmStart::Absent => {}
             engine::WarmStart::Rejected(e) => {
@@ -270,10 +263,15 @@ fn main() -> ExitCode {
                 return ExitCode::from(1);
             }
         };
-        let item = BatchItem::new(unique_stem(f, &mut used_names), c, opts.epsilon, opts.backend)
-            .pipeline(opts.pipeline.clone())
-            .verify(opts.verify)
-            .lint(opts.lint);
+        let item = BatchItem::new(
+            unique_stem(f, &mut used_names),
+            c,
+            opts.epsilon,
+            opts.backend,
+        )
+        .pipeline(opts.pipeline.clone())
+        .verify(opts.verify)
+        .lint(opts.lint);
         req.items.push(item);
     }
 
@@ -371,19 +369,6 @@ fn main() -> ExitCode {
         }
     }
 
-    if let (Some(path), Some(rec)) = (&opts.cache_trace, &recorder) {
-        match rec.save_to_file(path) {
-            Ok(n) => eprintln!(
-                "[trasyn-compile] saved cache trace: {n} event(s) to {}",
-                path.display()
-            ),
-            Err(e) => {
-                eprintln!("error: cannot write cache trace {}: {e}", path.display());
-                return ExitCode::from(1);
-            }
-        }
-    }
-
     print_pass_table(&opts.pipeline, &report);
     eprintln!(
         "[trasyn-compile] {} circuit(s): {} batch hits, {} misses, total T count {} | {}",
@@ -459,10 +444,13 @@ fn print_verify_summary(report: &engine::BatchReport) -> bool {
 fn print_profile_summary(stats: &engine::EngineStats) {
     let p = &stats.profile;
     eprintln!("[trasyn-compile] profile: work counters");
-    for (name, n) in p.work.entries() {
-        eprintln!("  {name:<16} {n:>12}");
+    for kind in prof::WorkKind::ALL {
+        eprintln!("  {:<16} {:>12}", kind.label(), p.work.get(kind));
     }
-    eprintln!("[trasyn-compile] profile: allocations per phase (enabled = {})", p.alloc_enabled);
+    eprintln!(
+        "[trasyn-compile] profile: allocations per phase (enabled = {})",
+        p.alloc_enabled
+    );
     eprintln!(
         "  {:<10} {:>12} {:>14} {:>14}",
         "phase", "allocs", "bytes", "peak_bytes"

@@ -25,9 +25,10 @@
 //!
 //! Shard assignment is `key.digest() % shards` where the digest is the
 //! stable FNV-1a 64 hash of [`CacheKey::digest`] — **not**
-//! `DefaultHasher`, whose output may change across Rust releases. The
-//! same digest is what the access-trace recorder persists, so a replay
-//! ([`crate::cachesim`]) reconstructs the exact shard assignment.
+//! `DefaultHasher`, whose output may change across Rust releases.
+//! [`SynthCache::export_entries`] walks the shards in index order, so
+//! the digest also fixes the entry order of a TSC1 snapshot
+//! ([`crate::snapshot`]).
 //!
 //! # Capacity and eviction
 //!
@@ -45,21 +46,17 @@
 //! synthesizer in this workspace is a pure function of
 //! `(unitary, settings)`.
 //!
-//! # Trace recording
-//!
-//! [`SynthCache::set_recorder`] attaches a [`TraceRecorder`]; every
-//! lookup/insert/load is then appended to it *under the shard lock*, so
-//! the per-shard event order in the trace is exactly the order the cache
-//! made its decisions in. The fast path (no recorder) costs one relaxed
-//! atomic load.
+//! To size the capacity for some traffic, run the cache at that capacity
+//! under it and read its counters: [`SynthCache::stats`] feeds `/metrics`
+//! and `trasyn-compile`'s summary line, [`SynthCache::shard_stats`] the
+//! per-shard `/metrics` families.
 
 use crate::backend::SettingsKey;
-use crate::cachetrace::{EventKind, TraceRecorder};
 use circuit::synthesize::CachedSynthesis;
 use std::collections::{HashMap, VecDeque};
 use std::hash::{Hash, Hasher};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Mutex;
 use std::time::Instant;
 
 /// Key of one cached synthesis: quantized unitary + synthesizer settings.
@@ -76,8 +73,7 @@ impl CacheKey {
     /// Stable digest of the key: FNV-1a 64 over the `Hash` stream,
     /// finalized by the SplitMix64 mixer (FNV's low bits alone are too
     /// regular for `digest % shards` bucketing of structured unitaries).
-    /// This single digest picks the shard and is what the trace recorder
-    /// persists — one hash contract for live cache and replay.
+    /// It picks the shard, and so the entry order of a snapshot.
     pub fn digest(&self) -> u64 {
         let mut h = crate::fnv::Fnv1a64::new();
         self.hash(&mut h);
@@ -182,42 +178,11 @@ pub struct SynthCache {
     misses: AtomicU64,
     insertions: AtomicU64,
     evictions: AtomicU64,
-    /// Fast-path flag mirroring `recorder.is_some()`.
-    recording: AtomicBool,
-    recorder: Mutex<Option<Arc<TraceRecorder>>>,
 }
 
 /// Default shard count: enough that a handful of worker threads rarely
 /// collide, small enough that `stats()`/`len()` stay cheap.
 pub const DEFAULT_SHARDS: usize = 16;
-
-/// Resolves a `(capacity, shards)` request to the actual
-/// `(shard count, per-shard capacity)` layout: shard count ≥ 1, clamped
-/// to `capacity` when bounded (so every shard can hold at least one
-/// entry without the total exceeding the bound), per-shard capacity
-/// `usize::MAX` when unbounded. The simulator uses the same function so
-/// a replay reproduces the live layout exactly.
-pub fn shard_layout(capacity: usize, shards: usize) -> (usize, usize) {
-    let shards = if capacity == 0 {
-        shards.max(1)
-    } else {
-        shards.clamp(1, capacity)
-    };
-    let per_shard_capacity = if capacity == 0 {
-        usize::MAX
-    } else {
-        capacity / shards
-    };
-    (shards, per_shard_capacity)
-}
-
-/// `ceil(log2)`-style size bucket of a cached gate sequence, recorded
-/// in the access trace (bit length of the gate count: 0 → 0, 1 → 1,
-/// 2..3 → 2, 4..7 → 3, …).
-pub fn size_class_of(value: &CachedSynthesis) -> u8 {
-    let gates = value.0.len();
-    (usize::BITS - gates.leading_zeros()) as u8
-}
 
 impl SynthCache {
     /// Creates a FIFO cache holding at most `capacity` entries across
@@ -226,10 +191,16 @@ impl SynthCache {
         Self::with_shards(capacity, DEFAULT_SHARDS)
     }
 
-    /// [`SynthCache::new`] with an explicit shard count (≥ 1; see
-    /// [`shard_layout`]).
+    /// [`SynthCache::new`] with an explicit shard count: at least 1, and
+    /// at most `capacity` when bounded, so every shard can hold an entry
+    /// without the total exceeding the bound.
     pub fn with_shards(capacity: usize, shards: usize) -> Self {
-        let (shards, per_shard_capacity) = shard_layout(capacity, shards);
+        let (shards, per_shard_capacity) = if capacity == 0 {
+            (shards.max(1), usize::MAX)
+        } else {
+            let shards = shards.clamp(1, capacity);
+            (shards, capacity / shards)
+        };
         SynthCache {
             shards: (0..shards).map(|_| Mutex::new(Shard::default())).collect(),
             per_shard_capacity,
@@ -238,8 +209,6 @@ impl SynthCache {
             misses: AtomicU64::new(0),
             insertions: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
-            recording: AtomicBool::new(false),
-            recorder: Mutex::new(None),
         }
     }
 
@@ -253,47 +222,6 @@ impl SynthCache {
         self.shards.len()
     }
 
-    /// Attaches (or with `None`, detaches) an access-trace recorder.
-    /// Subsequent lookups/inserts/loads are appended to it in per-shard
-    /// decision order.
-    pub fn set_recorder(&self, recorder: Option<Arc<TraceRecorder>>) {
-        let mut slot = self.recorder.lock().expect("cache recorder poisoned");
-        self.recording.store(recorder.is_some(), Ordering::Relaxed);
-        *slot = recorder;
-    }
-
-    /// The attached recorder, if any.
-    pub fn recorder(&self) -> Option<Arc<TraceRecorder>> {
-        self.recorder
-            .lock()
-            .expect("cache recorder poisoned")
-            .clone()
-    }
-
-    /// Builds a recorder stamped with this cache's configuration and
-    /// attaches it.
-    pub fn start_recording(&self) -> Arc<TraceRecorder> {
-        let rec = Arc::new(TraceRecorder::new(
-            self.shards.len() as u32,
-            self.capacity as u64,
-        ));
-        self.set_recorder(Some(Arc::clone(&rec)));
-        rec
-    }
-
-    /// Appends one trace event when a recorder is attached. Called with
-    /// the relevant shard lock held, so per-shard record order is the
-    /// live decision order (shard lock → recorder lock never inverts).
-    fn record(&self, key: &CacheKey, kind: EventKind, size_class: u8) {
-        if !self.recording.load(Ordering::Relaxed) {
-            return;
-        }
-        let rec = self.recorder();
-        if let Some(r) = rec {
-            r.record(key.digest(), kind, size_class);
-        }
-    }
-
     fn shard_of(&self, key: &CacheKey) -> &Mutex<Shard> {
         &self.shards[(key.digest() % self.shards.len() as u64) as usize]
     }
@@ -304,12 +232,10 @@ impl SynthCache {
         match shard.map.get(key).cloned() {
             Some(v) => {
                 self.hits.fetch_add(1, Ordering::Relaxed);
-                self.record(key, EventKind::Hit, 0);
                 Some(v)
             }
             None => {
                 self.misses.fetch_add(1, Ordering::Relaxed);
-                self.record(key, EventKind::Miss, 0);
                 None
             }
         }
@@ -321,17 +247,14 @@ impl SynthCache {
     /// identical) and is returned, keeping all callers on one shared
     /// allocation; a duplicate insert does not touch the FIFO order.
     pub fn insert(&self, key: CacheKey, value: CachedSynthesis) -> CachedSynthesis {
-        let size_class = size_class_of(&value);
         let mut shard = self.shard_of(&key).lock().expect("cache shard poisoned");
         if let Some(existing) = shard.map.get(&key).cloned() {
-            self.record(&key, EventKind::Insert, size_class);
             return existing;
         }
         let evicted = shard.evict_to_fit(self.per_shard_capacity, false);
         self.evictions.fetch_add(evicted, Ordering::Relaxed);
         shard.push(key, value.clone());
         self.insertions.fetch_add(1, Ordering::Relaxed);
-        self.record(&key, EventKind::Insert, size_class);
         value
     }
 
@@ -382,15 +305,12 @@ impl SynthCache {
     /// live traffic. The capacity bound still holds (victims are evicted
     /// silently); a key already resident is left as-is.
     pub fn load_entry(&self, key: CacheKey, value: CachedSynthesis) {
-        let size_class = size_class_of(&value);
         let mut shard = self.shard_of(&key).lock().expect("cache shard poisoned");
         if shard.map.contains_key(&key) {
-            self.record(&key, EventKind::Load, size_class);
             return;
         }
         shard.evict_to_fit(self.per_shard_capacity, true);
         shard.push(key, value);
-        self.record(&key, EventKind::Load, size_class);
     }
 
     /// Drops every entry. Counters are preserved.
@@ -638,42 +558,11 @@ mod tests {
     }
 
     #[test]
-    fn recorder_sees_every_operation_in_order() {
-        let c = SynthCache::with_shards(8, 1);
-        let rec = c.start_recording();
-        assert!(c.get(&key(1)).is_none()); // miss
-        c.insert(key(1), value()); // insert
-        assert!(c.get(&key(1)).is_some()); // hit
-        c.load_entry(key(2), value()); // load
-        c.insert(key(1), value()); // duplicate insert — recorded too
-        c.set_recorder(None);
-        assert!(c.get(&key(1)).is_some(), "detached recorder sees nothing");
-        let trace = crate::cachetrace::decode(&rec.encode()).expect("valid trace");
-        assert_eq!(trace.shards, 1);
-        assert_eq!(trace.capacity, 8);
-        let kinds: Vec<EventKind> = trace.events.iter().map(|e| e.kind).collect();
-        assert_eq!(
-            kinds,
-            vec![
-                EventKind::Miss,
-                EventKind::Insert,
-                EventKind::Hit,
-                EventKind::Load,
-                EventKind::Insert,
-            ]
-        );
-        assert_eq!(trace.events[0].key_hash, key(1).digest());
-        assert_eq!(trace.events[3].key_hash, key(2).digest());
-        assert!(trace.events[1].size_class > 0, "inserts carry a size class");
-        assert_eq!(trace.events[0].size_class, 0, "lookups carry none");
-    }
-
-    #[test]
     fn digest_is_the_stable_mixed_fnv_hash() {
         // The digest contract: SplitMix64-finalized FNV-1a 64 over the
         // key's Hash stream. DefaultHasher is explicitly NOT stable
         // across Rust releases; this pins that we never regress to it
-        // for anything persisted (traces store these digests).
+        // for anything persisted (the digest fixes snapshot entry order).
         let k = key(3);
         assert_eq!(k.digest(), k.digest());
         assert_ne!(k.digest(), key(4).digest());

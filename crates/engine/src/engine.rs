@@ -24,7 +24,7 @@ use crate::cache::{CacheKey, CachePolicy, SynthCache};
 use crate::pipeline::build_pipeline;
 use crate::pool::WorkerPool;
 use crate::stats::{
-    aggregate_passes, EngineStats, PassTotals, PhaseAllocs, PoolTotals, ProfileStats, WorkTotals,
+    aggregate_passes, EngineStats, PassTotals, PhaseAllocs, PoolTotals, ProfileStats,
 };
 use circuit::metrics::{clifford_count, t_count};
 use circuit::pass::{PassStats, PipelineSpec};
@@ -64,7 +64,11 @@ impl fmt::Display for EngineError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             EngineError::BackendUnavailable(k) => {
-                write!(f, "backend '{}' is not configured on this engine", k.label())
+                write!(
+                    f,
+                    "backend '{}' is not configured on this engine",
+                    k.label()
+                )
             }
             EngineError::Lint { item, diagnostics } => {
                 let first = diagnostics
@@ -166,7 +170,7 @@ impl EngineBuilder {
 /// batch, so contention is negligible next to the synthesis work).
 #[derive(Default)]
 struct ProfileTotals {
-    work: WorkTotals,
+    work: prof::WorkSnapshot,
     pool: PoolTotals,
     alloc: PhaseAllocs,
 }
@@ -446,7 +450,7 @@ impl Engine {
         // aggregated from per-job deltas in job order (deterministic);
         // allocation deltas only move while `prof::alloc` counting is
         // enabled and never feed back into compilation.
-        let mut batch_work = WorkTotals::default();
+        let mut batch_work = prof::WorkSnapshot::default();
         let mut batch_alloc = PhaseAllocs::default();
         // Resolve backends up front: an unknown backend fails the batch
         // before any synthesis work starts.
@@ -542,7 +546,7 @@ impl Engine {
                     None => pipe.run(&mut work),
                 };
                 let alloc_d = prof::alloc::delta_since(&alloc0);
-                batch_alloc.lower.absorb(&alloc_d);
+                batch_alloc.lower.merge(&alloc_d);
                 if alloc_d.allocs > 0 {
                     if let Some(s) = lower_span.as_mut() {
                         s.attr("allocs", alloc_d.allocs);
@@ -609,7 +613,7 @@ impl Engine {
             // Every deduplicated rotation costs one cache probe (the
             // resolved/queued map reads count: they stand in for shard
             // lookups earlier items already paid for).
-            batch_work.cache_probes += hits + misses;
+            batch_work.add(prof::WorkKind::CacheProbes, hits + misses);
             if let Some(s) = scan_span.as_mut() {
                 s.attr("hits", hits);
                 s.attr("misses", misses);
@@ -649,8 +653,14 @@ impl Engine {
             let work_d = prof::work::snapshot().since(&work0);
             let alloc_d = prof::alloc::delta_since(&alloc0);
             if let Some(sp) = sp.as_mut() {
-                sp.attr("grid_candidates", work_d.get(prof::WorkKind::GridCandidates));
-                sp.attr("exact_syntheses", work_d.get(prof::WorkKind::ExactSyntheses));
+                sp.attr(
+                    "grid_candidates",
+                    work_d.get(prof::WorkKind::GridCandidates),
+                );
+                sp.attr(
+                    "exact_syntheses",
+                    work_d.get(prof::WorkKind::ExactSyntheses),
+                );
                 if alloc_d.allocs > 0 {
                     sp.attr("allocs", alloc_d.allocs);
                     sp.attr("alloc_bytes", alloc_d.bytes);
@@ -666,8 +676,8 @@ impl Engine {
         drop(synth_span);
         let synthesis_ms = t_synth.elapsed().as_secs_f64() * 1e3;
         for (job, (r, work_d, alloc_d)) in jobs.iter().zip(results) {
-            batch_work.merge(&WorkTotals::from_prof(&work_d));
-            batch_alloc.synthesis.absorb(&alloc_d);
+            batch_work.merge(&work_d);
+            batch_alloc.synthesis.merge(&alloc_d);
             let v = self.cache.insert(job.key, Arc::new(r));
             resolved.insert(job.key, v);
         }
@@ -698,7 +708,7 @@ impl Engine {
                 &mut adapter,
             );
             let alloc_d = prof::alloc::delta_since(&alloc0);
-            batch_alloc.splice.absorb(&alloc_d);
+            batch_alloc.splice.merge(&alloc_d);
             if alloc_d.allocs > 0 {
                 if let Some(s) = splice_span.as_mut() {
                     s.attr("allocs", alloc_d.allocs);
@@ -716,7 +726,7 @@ impl Engine {
                 let alloc0 = prof::alloc::phase_start();
                 let cert = self.certify(&it.circuit, &synthesized);
                 let alloc_d = prof::alloc::delta_since(&alloc0);
-                batch_alloc.verify.absorb(&alloc_d);
+                batch_alloc.verify.merge(&alloc_d);
                 if let Some(s) = verify_span.as_mut() {
                     if let Some(c) = cert.as_ref() {
                         s.attr("equivalent", c.equivalent);
@@ -737,8 +747,11 @@ impl Engine {
                 // Fail open like verify: conformance findings on the
                 // *output* are reported and counted, not turned into an
                 // error return — the compile already happened.
-                let out_diags =
-                    lint::lint_output(&synthesized.circuit, lint::Expectation::CliffordT, it.epsilon);
+                let out_diags = lint::lint_output(
+                    &synthesized.circuit,
+                    lint::Expectation::CliffordT,
+                    it.epsilon,
+                );
                 self.record_diagnostics(&out_diags);
                 diagnostics.extend(out_diags);
             }
@@ -817,9 +830,15 @@ mod tests {
         let report = e.compile(&c, BackendKind::Gridsynth, 1e-2).unwrap();
         let b = GridsynthBackend::default();
         let seq = circuit::synthesize::synthesize_circuit(&c, |m| b.synthesize(m, 1e-2));
-        assert_eq!(report.synthesized.circuit, seq.circuit, "byte-identical splice");
+        assert_eq!(
+            report.synthesized.circuit, seq.circuit,
+            "byte-identical splice"
+        );
         assert_eq!(report.synthesized.rotations, seq.rotations);
-        assert_eq!(report.synthesized.distinct_rotations, seq.distinct_rotations);
+        assert_eq!(
+            report.synthesized.distinct_rotations,
+            seq.distinct_rotations
+        );
         assert!((report.synthesized.total_error - seq.total_error).abs() < 1e-15);
     }
 
@@ -850,15 +869,28 @@ mod tests {
     fn unknown_backend_errors() {
         let e = engine(1);
         let err = e.compile(&sample_circuit(), BackendKind::Trasyn, 1e-2);
-        assert_eq!(err.unwrap_err(), EngineError::BackendUnavailable(BackendKind::Trasyn));
+        assert_eq!(
+            err.unwrap_err(),
+            EngineError::BackendUnavailable(BackendKind::Trasyn)
+        );
     }
 
     #[test]
     fn batch_shares_work_across_items() {
         let e = engine(2);
         let req = BatchRequest::new()
-            .item(BatchItem::new("a", sample_circuit(), 1e-2, BackendKind::Gridsynth))
-            .item(BatchItem::new("b", sample_circuit(), 1e-2, BackendKind::Gridsynth));
+            .item(BatchItem::new(
+                "a",
+                sample_circuit(),
+                1e-2,
+                BackendKind::Gridsynth,
+            ))
+            .item(BatchItem::new(
+                "b",
+                sample_circuit(),
+                1e-2,
+                BackendKind::Gridsynth,
+            ));
         let report = e.compile_batch(&req).unwrap();
         assert_eq!(report.items.len(), 2);
         assert!(report.items[0].cache_misses > 0);
@@ -876,9 +908,8 @@ mod tests {
     fn verify_attaches_passing_certificates_and_counts_them() {
         let c = sample_circuit();
         let e = engine(2);
-        let req = BatchRequest::new().item(
-            BatchItem::new("a", c, 1e-2, BackendKind::Gridsynth).verify(true),
-        );
+        let req = BatchRequest::new()
+            .item(BatchItem::new("a", c, 1e-2, BackendKind::Gridsynth).verify(true));
         let report = e.compile_batch(&req).unwrap();
         let cert = report.items[0]
             .certificate
@@ -915,11 +946,17 @@ mod tests {
             rotations: 0,
             distinct_rotations: 0,
         };
-        let cert = e.certify(&input, &synthesized).expect("failing, not skipped");
+        let cert = e
+            .certify(&input, &synthesized)
+            .expect("failing, not skipped");
         assert!(!cert.equivalent, "{cert}");
         assert_eq!(cert.method, verify::CheckMethod::Structural);
         assert!(cert.distance.is_infinite());
-        assert!(cert.to_json().contains("\"distance\": null"), "{}", cert.to_json());
+        assert!(
+            cert.to_json().contains("\"distance\": null"),
+            "{}",
+            cert.to_json()
+        );
         assert_eq!(e.stats().verify_fail, 1);
         assert_eq!(e.stats().verify_ok, 0);
     }
@@ -931,11 +968,13 @@ mod tests {
             big.rz(q, 0.1 + q as f64 * 0.05);
         }
         let e = engine(1);
-        let req = BatchRequest::new().item(
-            BatchItem::new("big", big, 1e-2, BackendKind::Gridsynth).verify(true),
-        );
+        let req = BatchRequest::new()
+            .item(BatchItem::new("big", big, 1e-2, BackendKind::Gridsynth).verify(true));
         let report = e.compile_batch(&req).unwrap();
-        assert!(report.items[0].certificate.is_none(), "unverifiable, not failed");
+        assert!(
+            report.items[0].certificate.is_none(),
+            "unverifiable, not failed"
+        );
         let stats = e.stats();
         assert_eq!((stats.verify_ok, stats.verify_fail), (0, 0));
     }
@@ -945,14 +984,16 @@ mod tests {
         let e = engine(1);
         let mut c = Circuit::new(1);
         c.rz(0, f64::NAN);
-        let req = BatchRequest::new().item(
-            BatchItem::new("bad", c, 1e-2, BackendKind::Gridsynth).lint(true),
-        );
+        let req = BatchRequest::new()
+            .item(BatchItem::new("bad", c, 1e-2, BackendKind::Gridsynth).lint(true));
         let err = e.compile_batch(&req).unwrap_err();
         match &err {
             EngineError::Lint { item, diagnostics } => {
                 assert_eq!(item, "bad");
-                assert!(diagnostics.iter().any(|d| d.code == "L0103"), "{diagnostics:?}");
+                assert!(
+                    diagnostics.iter().any(|d| d.code == "L0103"),
+                    "{diagnostics:?}"
+                );
             }
             other => panic!("expected lint error, got {other:?}"),
         }
@@ -966,13 +1007,14 @@ mod tests {
         let mut c = Circuit::new(3); // qubit 2 never used -> L0105 warning
         c.rz(0, 0.4);
         c.cx(0, 1);
-        let req = BatchRequest::new().item(
-            BatchItem::new("warned", c, 1e-2, BackendKind::Gridsynth).lint(true),
-        );
+        let req = BatchRequest::new()
+            .item(BatchItem::new("warned", c, 1e-2, BackendKind::Gridsynth).lint(true));
         let report = e.compile_batch(&req).unwrap();
         let diags = &report.items[0].diagnostics;
         assert!(diags.iter().any(|d| d.code == "L0105"), "{diags:?}");
-        assert!(report.items[0].to_json(false).contains("\"diagnostics\": [{\"code\": \"L0105\""));
+        assert!(report.items[0]
+            .to_json(false)
+            .contains("\"diagnostics\": [{\"code\": \"L0105\""));
         let stats = e.stats();
         assert_eq!(stats.lint_errors, 0);
         assert!(stats.lint_warnings >= 1);

@@ -16,13 +16,8 @@
 //!   hit/miss/eviction statistics. The unitary half of the key comes
 //!   from [`circuit::synthesize::quantize_unitary`] — the same
 //!   quantization the sequential path uses, so both tiers mean the same
-//!   thing by a key.
-//! * [`cachetrace`] — compact versioned binary access traces (`TRC1`):
-//!   every cache lookup/insert recorded with a stable key digest, for
-//!   offline cache sizing.
-//! * [`cachesim`] — replays a recorded trace against any capacity ×
-//!   shard configuration (the `trasyn-cachesim` binary's core),
-//!   bit-faithful to the live cache in parity mode.
+//!   thing by a key. A stable digest of the key chooses its shard, and
+//!   so fixes the entry order of a snapshot.
 //! * [`pool::WorkerPool`] — a `std::thread` + channel pool that
 //!   synthesizes the *distinct* rotations of a circuit (or a whole batch)
 //!   in parallel and hands results back in job order.
@@ -95,8 +90,6 @@
 pub mod backend;
 pub mod batch;
 pub mod cache;
-pub mod cachesim;
-pub mod cachetrace;
 pub mod engine;
 mod fnv;
 pub mod pipeline;
@@ -110,8 +103,6 @@ pub use backend::{
 };
 pub use batch::{BatchItem, BatchReport, BatchRequest, ItemReport};
 pub use cache::{CacheKey, CachePolicy, CacheStats, ShardStats, SynthCache};
-pub use cachesim::{simulate, SimMode, SimOutcome};
-pub use cachetrace::{CacheTrace, TraceError, TraceEvent, TraceRecorder};
 pub use circuit::pass::{PassSpec, PassStats, PipelineSpec, PipelineSpecError, Preset};
 pub use engine::{Engine, EngineBuilder, EngineError};
 pub use lint::{
@@ -120,8 +111,6 @@ pub use lint::{
 pub use pipeline::build_pipeline;
 pub use pool::{PoolRunStats, WorkerPool, WorkerTotals};
 pub use snapshot::{SnapshotError, WarmStart};
-pub use stats::{
-    AllocTotals, EngineStats, PassTotals, PhaseAllocs, PoolTotals, ProfileStats, WorkTotals,
-};
+pub use stats::{EngineStats, PassTotals, PhaseAllocs, PoolTotals, ProfileStats};
 pub use trace::SpanHandle;
 pub use verify::{Certificate, CheckMethod};

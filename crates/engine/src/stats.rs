@@ -10,6 +10,7 @@ use crate::batch::{fmt_f64, json_string};
 use crate::cache::{CacheStats, ShardStats};
 use crate::pool::{PoolRunStats, WorkerTotals};
 use circuit::pass::PassStats;
+use prof::{AllocDelta, WorkKind, WorkSnapshot};
 use std::fmt;
 
 /// Lifetime totals for one named lowering pass, aggregated across every
@@ -105,67 +106,15 @@ pub fn aggregate_passes<'a>(stats: impl IntoIterator<Item = &'a PassStats>) -> V
     out
 }
 
-/// Lifetime synthesis work counters (the `prof::work` kinds), aggregated
-/// across every request in deterministic job order. Where the pass
-/// totals describe *lowering* work, these describe *synthesis* work: the
-/// number-theory effort behind the wall-clock in the trace spans.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct WorkTotals {
-    /// Grid candidates enumerated by gridsynth's ε-region scan.
-    pub grid_candidates: u64,
-    /// Norm-equation (Diophantine) solution attempts.
-    pub norm_equations: u64,
-    /// Norm equations that produced a solution.
-    pub norm_solutions: u64,
-    /// Exact Clifford+T synthesis calls on candidate unitaries.
-    pub exact_syntheses: u64,
-    /// Synthesis-cache lookups (hits + misses, deduplicated rotations).
-    pub cache_probes: u64,
-}
-
-impl WorkTotals {
-    /// Converts a `prof::work` snapshot/delta into the named-field form
-    /// every report surface uses.
-    pub fn from_prof(s: &prof::WorkSnapshot) -> WorkTotals {
-        WorkTotals {
-            grid_candidates: s.get(prof::WorkKind::GridCandidates),
-            norm_equations: s.get(prof::WorkKind::NormEquations),
-            norm_solutions: s.get(prof::WorkKind::NormSolutions),
-            exact_syntheses: s.get(prof::WorkKind::ExactSyntheses),
-            cache_probes: s.get(prof::WorkKind::CacheProbes),
-        }
-    }
-
-    /// Folds another total into this one.
-    pub fn merge(&mut self, other: &WorkTotals) {
-        self.grid_candidates += other.grid_candidates;
-        self.norm_equations += other.norm_equations;
-        self.norm_solutions += other.norm_solutions;
-        self.exact_syntheses += other.exact_syntheses;
-        self.cache_probes += other.cache_probes;
-    }
-
-    /// `(label, value)` pairs in serialization order, shared by the JSON
-    /// writer and the `/metrics` renderer.
-    pub fn entries(&self) -> [(&'static str, u64); 5] {
-        [
-            ("grid_candidates", self.grid_candidates),
-            ("norm_equations", self.norm_equations),
-            ("norm_solutions", self.norm_solutions),
-            ("exact_syntheses", self.exact_syntheses),
-            ("cache_probes", self.cache_probes),
-        ]
-    }
-
-    /// Serializes as a JSON object (stable key order).
-    pub fn to_json(&self) -> String {
-        let fields: Vec<String> = self
-            .entries()
-            .iter()
-            .map(|(k, v)| format!("\"{k}\": {v}"))
-            .collect();
-        format!("{{{}}}", fields.join(", "))
-    }
+/// Serializes synthesis work counters as a JSON object, one key per
+/// [`WorkKind`] in [`WorkKind::ALL`] order (batch reports and
+/// [`EngineStats::to_json`]).
+pub(crate) fn work_json(work: &WorkSnapshot) -> String {
+    let fields: Vec<String> = WorkKind::ALL
+        .iter()
+        .map(|&k| format!("\"{}\": {}", k.label(), work.get(k)))
+        .collect();
+    format!("{{{}}}", fields.join(", "))
 }
 
 /// Lifetime worker-pool utilization, accumulated over every
@@ -196,7 +145,8 @@ impl PoolTotals {
         self.wall_ms += run.wall_ms;
         self.busy_ms += run.busy_ms();
         if self.workers.len() < run.workers.len() {
-            self.workers.resize(run.workers.len(), WorkerTotals::default());
+            self.workers
+                .resize(run.workers.len(), WorkerTotals::default());
         }
         for (acc, w) in self.workers.iter_mut().zip(&run.workers) {
             acc.busy_ms += w.busy_ms;
@@ -242,60 +192,26 @@ impl PoolTotals {
     }
 }
 
-/// Allocation totals for one engine phase: event count, gross bytes, and
-/// the largest single-scope resident high-water mark seen.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct AllocTotals {
-    /// Allocation events.
-    pub allocs: u64,
-    /// Gross bytes requested.
-    pub bytes: u64,
-    /// Maximum per-scope peak (bytes above the scope's entry level).
-    pub peak_bytes: u64,
-}
-
-impl AllocTotals {
-    /// Folds one phase scope's delta into the totals.
-    pub fn absorb(&mut self, d: &prof::AllocDelta) {
-        self.allocs += d.allocs;
-        self.bytes += d.bytes;
-        self.peak_bytes = self.peak_bytes.max(d.peak_bytes);
-    }
-
-    /// Folds another total into this one.
-    pub fn merge(&mut self, other: &AllocTotals) {
-        self.allocs += other.allocs;
-        self.bytes += other.bytes;
-        self.peak_bytes = self.peak_bytes.max(other.peak_bytes);
-    }
-
-    /// Serializes as a JSON object.
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\"allocs\": {}, \"bytes\": {}, \"peak_bytes\": {}}}",
-            self.allocs, self.bytes, self.peak_bytes
-        )
-    }
-}
-
-/// Per-phase allocation accounting, one [`AllocTotals`] per traced
-/// engine phase. All zeros while `prof::alloc` counting is disabled.
+/// Per-phase allocation accounting: one [`AllocDelta`] per traced engine
+/// phase, its scopes folded by [`AllocDelta::merge`] (counts sum, the
+/// peak is the largest single scope's). All zeros while `prof::alloc`
+/// counting is disabled.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct PhaseAllocs {
     /// The lowering-pipeline phase.
-    pub lower: AllocTotals,
+    pub lower: AllocDelta,
     /// The pooled synthesis phase (summed over jobs; peak is the
     /// largest single job's).
-    pub synthesis: AllocTotals,
+    pub synthesis: AllocDelta,
     /// The splice phase.
-    pub splice: AllocTotals,
+    pub splice: AllocDelta,
     /// The verify phase.
-    pub verify: AllocTotals,
+    pub verify: AllocDelta,
 }
 
 impl PhaseAllocs {
     /// `(phase, totals)` pairs in serialization order.
-    pub fn phases(&self) -> [(&'static str, AllocTotals); 4] {
+    pub fn phases(&self) -> [(&'static str, AllocDelta); 4] {
         [
             ("lower", self.lower),
             ("synthesis", self.synthesis),
@@ -317,7 +233,12 @@ impl PhaseAllocs {
         let fields: Vec<String> = self
             .phases()
             .iter()
-            .map(|(name, t)| format!("\"{name}\": {}", t.to_json()))
+            .map(|(name, a)| {
+                format!(
+                    "\"{name}\": {{\"allocs\": {}, \"bytes\": {}, \"peak_bytes\": {}}}",
+                    a.allocs, a.bytes, a.peak_bytes
+                )
+            })
             .collect();
         format!("{{{}}}", fields.join(", "))
     }
@@ -333,7 +254,7 @@ pub struct ProfileStats {
     /// (`prof::alloc`); the alloc totals only grow while it is.
     pub alloc_enabled: bool,
     /// Lifetime synthesis work counters.
-    pub work: WorkTotals,
+    pub work: WorkSnapshot,
     /// Lifetime pool utilization.
     pub pool: PoolTotals,
     /// Lifetime per-phase allocation totals.
@@ -455,7 +376,7 @@ impl EngineStats {
             self.verify_fail,
             self.lint_errors,
             self.lint_warnings,
-            self.profile.work.to_json(),
+            work_json(&self.profile.work),
             self.profile.pool.to_json(),
             self.profile.alloc_enabled,
             self.profile.alloc.to_json(),
@@ -603,24 +524,22 @@ mod tests {
 
     #[test]
     fn work_totals_convert_and_merge() {
-        prof::work::add(prof::WorkKind::GridCandidates, 2);
-        // Snapshot deltas convert kind-for-kind into the named fields.
-        let mut w = WorkTotals {
-            grid_candidates: 1,
-            norm_equations: 2,
-            norm_solutions: 1,
-            exact_syntheses: 1,
-            cache_probes: 3,
-        };
-        w.merge(&w.clone());
-        assert_eq!(w.grid_candidates, 2);
-        assert_eq!(w.cache_probes, 6);
-        let j = w.to_json();
-        assert_eq!(
-            j,
-            "{\"grid_candidates\": 2, \"norm_equations\": 4, \"norm_solutions\": 2, \
-             \"exact_syntheses\": 2, \"cache_probes\": 6}"
-        );
+        // A real delta from this thread's counters, merged into the
+        // totals next to the cache probes the engine counts itself,
+        // renders one key per kind in `WorkKind::ALL` order.
+        let start = prof::work::snapshot();
+        prof::work::add(WorkKind::GridCandidates, 2);
+        prof::work::add(WorkKind::NormEquations, 3);
+        prof::work::add(WorkKind::ExactSyntheses, 1);
+        let delta = prof::work::snapshot().since(&start);
+        let mut stats = sample();
+        stats.profile.work.merge(&delta);
+        stats.profile.work.merge(&delta);
+        stats.profile.work.add(WorkKind::CacheProbes, 4);
+        let j = stats.to_json();
+        let want = "\"work\": {\"grid_candidates\": 4, \"norm_equations\": 6, \
+                    \"norm_solutions\": 0, \"exact_syntheses\": 2, \"cache_probes\": 4}";
+        assert!(j.contains(want), "{j}");
     }
 
     #[test]
@@ -628,8 +547,14 @@ mod tests {
         let run = PoolRunStats {
             wall_ms: 10.0,
             workers: vec![
-                WorkerTotals { busy_ms: 8.0, jobs: 3 },
-                WorkerTotals { busy_ms: 6.0, jobs: 2 },
+                WorkerTotals {
+                    busy_ms: 8.0,
+                    jobs: 3,
+                },
+                WorkerTotals {
+                    busy_ms: 6.0,
+                    jobs: 2,
+                },
             ],
         };
         let mut t = PoolTotals::default();
@@ -642,7 +567,13 @@ mod tests {
         // widens the per-worker table as needed.
         let wider = PoolRunStats {
             wall_ms: 4.0,
-            workers: vec![WorkerTotals { busy_ms: 1.0, jobs: 1 }; 3],
+            workers: vec![
+                WorkerTotals {
+                    busy_ms: 1.0,
+                    jobs: 1
+                };
+                3
+            ],
         };
         t.absorb(&wider);
         assert_eq!((t.runs, t.jobs), (2, 8));
@@ -656,13 +587,12 @@ mod tests {
 
     #[test]
     fn alloc_totals_sum_counts_and_max_peaks() {
-        let mut a = AllocTotals::default();
-        a.absorb(&prof::AllocDelta {
+        let mut a = AllocDelta {
             allocs: 3,
             bytes: 300,
             peak_bytes: 200,
-        });
-        a.absorb(&prof::AllocDelta {
+        };
+        a.merge(&AllocDelta {
             allocs: 1,
             bytes: 100,
             peak_bytes: 50,

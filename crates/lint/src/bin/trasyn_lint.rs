@@ -65,10 +65,10 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
             }
             "--expect" => {
                 let v = it.next().ok_or("--expect needs a value")?;
-                opts.expect = Some(
-                    Expectation::parse(v)
-                        .ok_or_else(|| format!("--expect needs rz, u3, or clifford-t, got '{v}'"))?,
-                );
+                opts.expect =
+                    Some(Expectation::parse(v).ok_or_else(|| {
+                        format!("--expect needs rz, u3, or clifford-t, got '{v}'")
+                    })?);
             }
             "--epsilon" => {
                 let v = it.next().ok_or("--epsilon needs a value")?;
@@ -168,7 +168,7 @@ fn main() -> ExitCode {
             .map(|r| {
                 format!(
                     "{{\"name\": {}, \"diagnostics\": {}}}",
-                    json_escape(&r.name),
+                    lint::diag::escape(&r.name),
                     diagnostics_json(&r.diagnostics)
                 )
             })
@@ -198,24 +198,4 @@ fn main() -> ExitCode {
     } else {
         ExitCode::SUCCESS
     }
-}
-
-/// Minimal JSON string escaping (mirrors the library's writer; the
-/// binary keeps no other JSON machinery).
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }

@@ -112,10 +112,11 @@ pub fn tally(diags: &[Diagnostic]) -> (usize, usize) {
     (errors, diags.len() - errors)
 }
 
-/// JSON string literal with the minimal required escapes. Kept local so
-/// `lint` stays a leaf crate under `circuit` (the engine's writer lives
-/// above us in the dependency graph).
-pub(crate) fn escape(s: &str) -> String {
+/// JSON string literal with the minimal required escapes, shared with
+/// the `trasyn-lint` binary. Kept local so `lint` stays a leaf crate
+/// under `circuit` (the engine's writer lives above us in the dependency
+/// graph).
+pub fn escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     out.push('"');
     for ch in s.chars() {

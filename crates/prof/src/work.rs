@@ -96,6 +96,12 @@ impl WorkSnapshot {
         self.counts[kind.index()]
     }
 
+    /// Adds `n` events of `kind` to this snapshot, for work its owner
+    /// counts itself rather than through a thread's counters.
+    pub fn add(&mut self, kind: WorkKind, n: u64) {
+        self.counts[kind.index()] += n;
+    }
+
     /// The work done between `start` (an earlier snapshot on the same
     /// thread) and this one.
     pub fn since(&self, start: &WorkSnapshot) -> WorkSnapshot {
@@ -175,6 +181,9 @@ mod tests {
         a.merge(&d);
         a.merge(&d);
         assert_eq!(a.get(WorkKind::CacheProbes), 8);
+        a.add(WorkKind::CacheProbes, 2);
+        assert_eq!(a.get(WorkKind::CacheProbes), 10);
+        assert_eq!(a.total(), 10);
     }
 
     #[test]

@@ -7,7 +7,8 @@
 //!   --addr HOST:PORT       bind address (default 127.0.0.1:8087; port 0 = ephemeral)
 //!   --addr-file FILE       write the bound address to FILE (for scripts using port 0)
 //!   --http-workers N       handler threads (default 4)
-//!   --queue-depth N        bounded dispatch queue; overflow answers 429 (default 64)
+//!   --queue-depth N        bounded dispatch queue, at least 1; overflow
+//!                          answers 429 (default 64)
 //!   --max-conns N          open-connection cap; excess accepts answer 429
 //!                          (default 10240)
 //!   --read-timeout-ms N    whole-request read deadline; a connection that
@@ -16,8 +17,6 @@
 //!   --keepalive-timeout-ms N  idle keep-alive reap timeout (default 5000)
 //!   --threads N            synthesis worker threads per request (default 1)
 //!   --cache-capacity N     shared-cache entries, 0 = unbounded (default 65536)
-//!   --cache-trace FILE     record the cache access trace (TRC1) and save it
-//!                          to FILE on shutdown; replay with trasyn-cachesim
 //!   --cache-file FILE      warm-start from FILE on boot, save on shutdown/signal
 //!   --backend NAME         default backend for requests (default gridsynth)
 //!   --epsilon EPS          default per-rotation error threshold (default 1e-2)
@@ -65,7 +64,6 @@ struct Options {
     keepalive_timeout_ms: u64,
     threads: usize,
     cache_capacity: usize,
-    cache_trace: Option<PathBuf>,
     cache_file: Option<PathBuf>,
     backend: BackendKind,
     epsilon: f64,
@@ -79,7 +77,7 @@ struct Options {
 fn usage() -> &'static str {
     "usage: trasyn-server [--addr HOST:PORT] [--addr-file FILE] [--http-workers N] \
      [--queue-depth N] [--max-conns N] [--read-timeout-ms N] \
-     [--keepalive-timeout-ms N] [--threads N] [--cache-capacity N] [--cache-trace FILE] \
+     [--keepalive-timeout-ms N] [--threads N] [--cache-capacity N] \
      [--cache-file FILE] [--backend trasyn|gridsynth|annealing] [--epsilon EPS] \
      [--profile] [--with-trasyn] [--max-t N] [--samples N] [--no-trace] [--trace-sample N] \
      [--trace-ring N] [--trace-slow-ms X] [--trace-seed N]"
@@ -96,7 +94,6 @@ fn parse_args(args: &[String]) -> Result<Option<Options>, String> {
         keepalive_timeout_ms: 5000,
         threads: 1,
         cache_capacity: 65536,
-        cache_trace: None,
         cache_file: None,
         backend: BackendKind::Gridsynth,
         epsilon: 1e-2,
@@ -120,8 +117,12 @@ fn parse_args(args: &[String]) -> Result<Option<Options>, String> {
         match a.as_str() {
             "--addr" => opts.addr = value("--addr")?,
             "--addr-file" => opts.addr_file = Some(PathBuf::from(value("--addr-file")?)),
-            "--http-workers" => opts.http_workers = parse_usize("--http-workers", value("--http-workers")?)?,
-            "--queue-depth" => opts.queue_depth = parse_usize("--queue-depth", value("--queue-depth")?)?,
+            "--http-workers" => {
+                opts.http_workers = parse_usize("--http-workers", value("--http-workers")?)?;
+            }
+            "--queue-depth" => {
+                opts.queue_depth = parse_usize("--queue-depth", value("--queue-depth")?)?;
+            }
             "--max-conns" => opts.max_conns = parse_usize("--max-conns", value("--max-conns")?)?,
             "--read-timeout-ms" => {
                 opts.read_timeout_ms = value("--read-timeout-ms")?
@@ -137,7 +138,6 @@ fn parse_args(args: &[String]) -> Result<Option<Options>, String> {
             "--cache-capacity" => {
                 opts.cache_capacity = parse_usize("--cache-capacity", value("--cache-capacity")?)?;
             }
-            "--cache-trace" => opts.cache_trace = Some(PathBuf::from(value("--cache-trace")?)),
             "--cache-file" => opts.cache_file = Some(PathBuf::from(value("--cache-file")?)),
             "--backend" => {
                 let v = value("--backend")?;
@@ -187,6 +187,9 @@ fn parse_args(args: &[String]) -> Result<Option<Options>, String> {
     }
     if opts.http_workers == 0 {
         return Err("--http-workers must be at least 1".to_string());
+    }
+    if opts.queue_depth == 0 {
+        return Err("--queue-depth must be at least 1".to_string());
     }
     if opts.max_conns == 0 {
         return Err("--max-conns must be at least 1".to_string());
@@ -279,13 +282,6 @@ fn main() -> ExitCode {
     }
     let engine = Arc::new(builder.build());
 
-    // Attach the recorder before Server::start so the warm-start loads
-    // land in the trace — the simulator needs them to replay in parity.
-    let recorder = opts
-        .cache_trace
-        .as_ref()
-        .map(|_| engine.cache().start_recording());
-
     let config = ServerConfig {
         http_workers: opts.http_workers,
         queue_depth: opts.queue_depth,
@@ -346,18 +342,6 @@ fn main() -> ExitCode {
             return ExitCode::from(1);
         }
         None => {}
-    }
-    if let (Some(path), Some(rec)) = (&opts.cache_trace, &recorder) {
-        match rec.save_to_file(path) {
-            Ok(n) => eprintln!(
-                "[trasyn-server] saved cache trace: {n} event(s) to {}",
-                path.display()
-            ),
-            Err(e) => {
-                eprintln!("error: cannot save cache trace: {e}");
-                return ExitCode::from(1);
-            }
-        }
     }
     ExitCode::SUCCESS
 }

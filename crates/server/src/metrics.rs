@@ -19,6 +19,7 @@
 //! `tests/metrics_golden.rs` pins the full render shape.
 
 use engine::EngineStats;
+use prof::WorkKind;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Upper bounds (milliseconds) of the latency histogram buckets; the
@@ -112,7 +113,10 @@ impl Hist {
             "{name}_sum {}",
             self.sum_us.load(Ordering::Relaxed) as f64 / 1e3
         ));
-        line(format!("{name}_count {}", self.count.load(Ordering::Relaxed)));
+        line(format!(
+            "{name}_count {}",
+            self.count.load(Ordering::Relaxed)
+        ));
     }
 }
 
@@ -365,13 +369,19 @@ impl Metrics {
         line("# TYPE trasyn_lint_error_total counter".into());
         line(format!("trasyn_lint_error_total {}", engine.lint_errors));
         line("# TYPE trasyn_lint_warning_total counter".into());
-        line(format!("trasyn_lint_warning_total {}", engine.lint_warnings));
+        line(format!(
+            "trasyn_lint_warning_total {}",
+            engine.lint_warnings
+        ));
 
         // Per-pass lowering counters (sorted by pass name in EngineStats,
         // so the exposition is stable across request interleavings).
         line("# TYPE trasyn_pass_runs_total counter".into());
         for p in &engine.passes {
-            line(format!("trasyn_pass_runs_total{{pass=\"{}\"}} {}", p.name, p.runs));
+            line(format!(
+                "trasyn_pass_runs_total{{pass=\"{}\"}} {}",
+                p.name, p.runs
+            ));
         }
         line("# TYPE trasyn_pass_wall_ms_total counter".into());
         for p in &engine.passes {
@@ -407,8 +417,9 @@ impl Metrics {
 
         let prof = &engine.profile;
         line("# TYPE trasyn_work_total counter".into());
-        for (kind, n) in prof.work.entries() {
-            line(format!("trasyn_work_total{{kind=\"{kind}\"}} {n}"));
+        for kind in WorkKind::ALL {
+            let (label, n) = (kind.label(), prof.work.get(kind));
+            line(format!("trasyn_work_total{{kind=\"{label}\"}} {n}"));
         }
 
         line("# TYPE trasyn_pool_runs_total counter".into());
@@ -420,15 +431,24 @@ impl Metrics {
         line("# TYPE trasyn_pool_wall_ms_total counter".into());
         line(format!("trasyn_pool_wall_ms_total {}", prof.pool.wall_ms));
         line("# TYPE trasyn_pool_utilization gauge".into());
-        line(format!("trasyn_pool_utilization {}", prof.pool.utilization()));
+        line(format!(
+            "trasyn_pool_utilization {}",
+            prof.pool.utilization()
+        ));
         line("# TYPE trasyn_pool_workers gauge".into());
         line(format!("trasyn_pool_workers {}", prof.pool.workers.len()));
 
         line("# TYPE trasyn_alloc_enabled gauge".into());
-        line(format!("trasyn_alloc_enabled {}", u8::from(prof.alloc_enabled)));
+        line(format!(
+            "trasyn_alloc_enabled {}",
+            u8::from(prof.alloc_enabled)
+        ));
         line("# TYPE trasyn_phase_allocs_total counter".into());
         for (phase, a) in prof.alloc.phases() {
-            line(format!("trasyn_phase_allocs_total{{phase=\"{phase}\"}} {}", a.allocs));
+            line(format!(
+                "trasyn_phase_allocs_total{{phase=\"{phase}\"}} {}",
+                a.allocs
+            ));
         }
         line("# TYPE trasyn_phase_alloc_bytes_total counter".into());
         for (phase, a) in prof.alloc.phases() {
@@ -450,7 +470,10 @@ impl Metrics {
         // `/debug/profile`, not a deterministic text exposition.
         line("# TYPE trasyn_cache_shard_entries gauge".into());
         for (i, s) in prof.cache_shards.iter().enumerate() {
-            line(format!("trasyn_cache_shard_entries{{shard=\"{i}\"}} {}", s.entries));
+            line(format!(
+                "trasyn_cache_shard_entries{{shard=\"{i}\"}} {}",
+                s.entries
+            ));
         }
         line("# TYPE trasyn_cache_shard_evictions_total counter".into());
         for (i, s) in prof.cache_shards.iter().enumerate() {
@@ -492,9 +515,17 @@ impl Metrics {
 mod tests {
     use super::*;
     use engine::{
-        AllocTotals, BackendKind, CacheStats, PhaseAllocs, PoolTotals, ProfileStats, ShardStats,
-        WorkTotals, WorkerTotals,
+        BackendKind, CacheStats, PhaseAllocs, PoolTotals, ProfileStats, ShardStats, WorkerTotals,
     };
+    use prof::{AllocDelta, WorkSnapshot};
+
+    fn work() -> WorkSnapshot {
+        let mut w = WorkSnapshot::default();
+        for (kind, n) in WorkKind::ALL.into_iter().zip([40, 30, 20, 10, 7]) {
+            w.add(kind, n);
+        }
+        w
+    }
 
     fn stats() -> EngineStats {
         let mut fuse = engine::PassTotals::named("fuse");
@@ -520,28 +551,44 @@ mod tests {
             lint_warnings: 9,
             profile: ProfileStats {
                 alloc_enabled: true,
-                work: WorkTotals {
-                    grid_candidates: 40,
-                    norm_equations: 30,
-                    norm_solutions: 20,
-                    exact_syntheses: 10,
-                    cache_probes: 7,
-                },
+                work: work(),
                 pool: PoolTotals {
                     runs: 2,
                     jobs: 8,
                     wall_ms: 4.0,
                     busy_ms: 6.0,
                     workers: vec![
-                        WorkerTotals { busy_ms: 3.0, jobs: 4 },
-                        WorkerTotals { busy_ms: 3.0, jobs: 4 },
+                        WorkerTotals {
+                            busy_ms: 3.0,
+                            jobs: 4,
+                        },
+                        WorkerTotals {
+                            busy_ms: 3.0,
+                            jobs: 4,
+                        },
                     ],
                 },
                 alloc: PhaseAllocs {
-                    lower: AllocTotals { allocs: 11, bytes: 1100, peak_bytes: 512 },
-                    synthesis: AllocTotals { allocs: 22, bytes: 2200, peak_bytes: 1024 },
-                    splice: AllocTotals { allocs: 3, bytes: 300, peak_bytes: 128 },
-                    verify: AllocTotals { allocs: 4, bytes: 400, peak_bytes: 256 },
+                    lower: AllocDelta {
+                        allocs: 11,
+                        bytes: 1100,
+                        peak_bytes: 512,
+                    },
+                    synthesis: AllocDelta {
+                        allocs: 22,
+                        bytes: 2200,
+                        peak_bytes: 1024,
+                    },
+                    splice: AllocDelta {
+                        allocs: 3,
+                        bytes: 300,
+                        peak_bytes: 128,
+                    },
+                    verify: AllocDelta {
+                        allocs: 4,
+                        bytes: 400,
+                        peak_bytes: 256,
+                    },
                 },
                 cache_shards: vec![
                     ShardStats {
@@ -620,7 +667,10 @@ mod tests {
         assert_eq!(m.queue_depth_sampled(), (9, 3, 5));
         let text = m.render(&stats(), 0);
         assert!(text.contains("trasyn_queue_depth_sampled_sum 9"), "{text}");
-        assert!(text.contains("trasyn_queue_depth_samples_total 3"), "{text}");
+        assert!(
+            text.contains("trasyn_queue_depth_samples_total 3"),
+            "{text}"
+        );
         assert!(text.contains("trasyn_queue_depth_max 5"), "{text}");
     }
 

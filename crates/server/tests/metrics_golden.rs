@@ -8,15 +8,20 @@
 //! only requires extending the golden text.
 
 use engine::{
-    AllocTotals, BackendKind, CacheStats, EngineStats, PassTotals, PhaseAllocs, PoolTotals,
-    ProfileStats, ShardStats, WorkTotals, WorkerTotals,
+    BackendKind, CacheStats, EngineStats, PassTotals, PhaseAllocs, PoolTotals, ProfileStats,
+    ShardStats, WorkerTotals,
 };
+use prof::{AllocDelta, WorkKind, WorkSnapshot};
 use server::{Endpoint, Metrics};
 
 /// Deterministic engine-side snapshot: two passes (to pin the sorted,
 /// stable pass ordering) and non-zero counters everywhere so a dropped
 /// field can't hide behind a default zero.
 fn stats() -> EngineStats {
+    let mut work = WorkSnapshot::default();
+    for (kind, n) in WorkKind::ALL.into_iter().zip([40, 30, 20, 10, 7]) {
+        work.add(kind, n);
+    }
     let mut fuse = PassTotals::named("fuse");
     fuse.runs = 3;
     fuse.wall_ms = 1.25;
@@ -45,28 +50,44 @@ fn stats() -> EngineStats {
         lint_warnings: 9,
         profile: ProfileStats {
             alloc_enabled: true,
-            work: WorkTotals {
-                grid_candidates: 40,
-                norm_equations: 30,
-                norm_solutions: 20,
-                exact_syntheses: 10,
-                cache_probes: 7,
-            },
+            work,
             pool: PoolTotals {
                 runs: 2,
                 jobs: 8,
                 wall_ms: 4.0,
                 busy_ms: 6.0,
                 workers: vec![
-                    WorkerTotals { busy_ms: 3.5, jobs: 5 },
-                    WorkerTotals { busy_ms: 2.5, jobs: 3 },
+                    WorkerTotals {
+                        busy_ms: 3.5,
+                        jobs: 5,
+                    },
+                    WorkerTotals {
+                        busy_ms: 2.5,
+                        jobs: 3,
+                    },
                 ],
             },
             alloc: PhaseAllocs {
-                lower: AllocTotals { allocs: 11, bytes: 1100, peak_bytes: 512 },
-                synthesis: AllocTotals { allocs: 22, bytes: 2200, peak_bytes: 1024 },
-                splice: AllocTotals { allocs: 3, bytes: 300, peak_bytes: 128 },
-                verify: AllocTotals { allocs: 4, bytes: 400, peak_bytes: 256 },
+                lower: AllocDelta {
+                    allocs: 11,
+                    bytes: 1100,
+                    peak_bytes: 512,
+                },
+                synthesis: AllocDelta {
+                    allocs: 22,
+                    bytes: 2200,
+                    peak_bytes: 1024,
+                },
+                splice: AllocDelta {
+                    allocs: 3,
+                    bytes: 300,
+                    peak_bytes: 128,
+                },
+                verify: AllocDelta {
+                    allocs: 4,
+                    bytes: 400,
+                    peak_bytes: 256,
+                },
             },
             cache_shards: vec![
                 ShardStats {

@@ -64,11 +64,12 @@ impl Synthesized {
     }
 }
 
-/// The trasyn synthesizer: owns the step-0 table and caches per-budget
-/// MPS environments.
+/// The trasyn synthesizer: owns the step-0 table, and nothing else.
 ///
 /// Building the table is a one-time cost per process (paper: "one-time
 /// cost as the FT gate set is fixed"); synthesis calls are then fast.
+/// Every multi-tensor pass builds its MPS environments
+/// ([`TraceMps::new`]) afresh; none are cached between calls.
 pub struct Trasyn {
     table: UnitaryTable,
 }
@@ -110,9 +111,7 @@ impl Trasyn {
         'outer: for l in cfg.min_tensors..=max_tensors {
             for _ in 0..cfg.attempts.max(1) {
                 let got = self.synthesize_once(target, &cfg.budgets[..l], cfg.samples, &mut rng);
-                let better = best
-                    .as_ref()
-                    .is_none_or(|b| got.error < b.error);
+                let better = best.as_ref().is_none_or(|b| got.error < b.error);
                 if better {
                     best = Some(got);
                 }
