@@ -323,7 +323,8 @@ impl EngineStats {
     ///            "entries": 3, "hit_rate": 0.75}, "passes": [],
     ///  "verify": {"ok": 0, "fail": 0}, "lint": {"errors": 0, "warnings": 0},
     ///  "work": {"grid_candidates": 0, "norm_equations": 0, "norm_solutions": 0,
-    ///           "exact_syntheses": 0, "cache_probes": 0},
+    ///           "exact_syntheses": 0, "cache_probes": 0, "sample_draws": 0,
+    ///           "closing_scores": 0, "peephole_lookups": 0},
     ///  "pool": {"runs": 0, "jobs": 0, "wall_ms": 0, "busy_ms": 0,
     ///           "utilization": 0, "workers": []},
     ///  "alloc": {"enabled": false, "phases": {"lower": {"allocs": 0, "bytes": 0,
@@ -458,7 +459,8 @@ mod tests {
              \"passes\": [], \"verify\": {\"ok\": 4, \"fail\": 1}, \
              \"lint\": {\"errors\": 2, \"warnings\": 7}, \
              \"work\": {\"grid_candidates\": 0, \"norm_equations\": 0, \
-             \"norm_solutions\": 0, \"exact_syntheses\": 0, \"cache_probes\": 0}, \
+             \"norm_solutions\": 0, \"exact_syntheses\": 0, \"cache_probes\": 0, \
+             \"sample_draws\": 0, \"closing_scores\": 0, \"peephole_lookups\": 0}, \
              \"pool\": {\"runs\": 0, \"jobs\": 0, \"wall_ms\": 0, \"busy_ms\": 0, \
              \"utilization\": 0, \"workers\": []}, \
              \"alloc\": {\"enabled\": false, \"phases\": {\
@@ -531,6 +533,7 @@ mod tests {
         prof::work::add(WorkKind::GridCandidates, 2);
         prof::work::add(WorkKind::NormEquations, 3);
         prof::work::add(WorkKind::ExactSyntheses, 1);
+        prof::work::add(WorkKind::ClosingScores, 5);
         let delta = prof::work::snapshot().since(&start);
         let mut stats = sample();
         stats.profile.work.merge(&delta);
@@ -538,7 +541,8 @@ mod tests {
         stats.profile.work.add(WorkKind::CacheProbes, 4);
         let j = stats.to_json();
         let want = "\"work\": {\"grid_candidates\": 4, \"norm_equations\": 6, \
-                    \"norm_solutions\": 0, \"exact_syntheses\": 2, \"cache_probes\": 4}";
+                    \"norm_solutions\": 0, \"exact_syntheses\": 2, \"cache_probes\": 4, \
+                    \"sample_draws\": 0, \"closing_scores\": 10, \"peephole_lookups\": 0}";
         assert!(j.contains(want), "{j}");
     }
 

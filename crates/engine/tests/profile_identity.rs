@@ -3,9 +3,13 @@
 //! every worker thread count — and the work counters / profile totals
 //! the engine aggregates must be deterministic and plausible.
 
-use engine::{BackendKind, BatchItem, BatchRequest, Engine, GridsynthBackend};
-use prof::WorkKind::{CacheProbes, ExactSyntheses, GridCandidates, NormEquations, NormSolutions};
-use std::sync::Mutex;
+use engine::{BackendKind, BatchItem, BatchRequest, Engine, GridsynthBackend, TrasynBackend};
+use prof::WorkKind::{
+    CacheProbes, ClosingScores, ExactSyntheses, GridCandidates, NormEquations, NormSolutions,
+    PeepholeLookups, SampleDraws,
+};
+use std::sync::{Arc, Mutex};
+use trasyn::{SynthesisConfig, Trasyn};
 
 /// `prof::alloc::set_enabled` flips process-global state; serialize the
 /// tests that toggle it so they can't observe each other's setting.
@@ -85,6 +89,43 @@ fn work_counters_are_deterministic_across_thread_counts() {
         assert_eq!(
             baseline.work, r.work,
             "work counters differ between 1 and {threads} threads"
+        );
+    }
+}
+
+#[test]
+fn trasyn_work_counters_are_deterministic_across_thread_counts() {
+    // The trasyn kernel counts its draws, closing scores and peephole
+    // lookups per pass; the totals land in the report and do not depend
+    // on which worker ran which rotation.
+    let synth = Arc::new(Trasyn::new(4));
+    let engine = |threads: usize| {
+        let backend = TrasynBackend::new(
+            Arc::clone(&synth),
+            SynthesisConfig {
+                samples: 128,
+                budgets: vec![4, 4, 4],
+                ..SynthesisConfig::default()
+            },
+        );
+        Engine::builder()
+            .threads(threads)
+            .cache_capacity(1 << 12)
+            .backend(backend)
+            .build()
+    };
+    let circuit = workloads::qaoa::random_qaoa(4, 2, 0xD15C);
+    let req = BatchRequest::new().item(BatchItem::new("qaoa", circuit, 1e-2, BackendKind::Trasyn));
+    let baseline = engine(1).compile_batch(&req).unwrap().work;
+    assert!(baseline.get(SampleDraws) > 0, "no trasyn draws counted");
+    assert!(baseline.get(ClosingScores) > 0);
+    assert!(baseline.get(PeepholeLookups) > 0);
+    assert_eq!(baseline.get(GridCandidates), 0);
+    for threads in [2usize, 8] {
+        let r = engine(threads).compile_batch(&req).unwrap();
+        assert_eq!(
+            baseline, r.work,
+            "trasyn work counters differ between 1 and {threads} threads"
         );
     }
 }

@@ -3,7 +3,9 @@
 //! Wall-clock in a trace span says a synthesis was slow; these counters
 //! say *what it did*: how many grid candidates it enumerated, how many
 //! norm equations it attempted and solved, how many exact syntheses it
-//! ran, how many cache shards it probed. The kinds are a closed enum so
+//! ran, how many cache shards it probed, and for trasyn how many draws it
+//! sampled, closing scores it evaluated and peephole windows it looked
+//! up. The kinds are a closed enum so
 //! every layer (gridsynth's hot loop, the engine's cache scan, the
 //! server's `/metrics`) agrees on names and the storage is a flat array
 //! of `Cell`s — recording is one thread-local add, orders of magnitude
@@ -30,10 +32,17 @@ pub enum WorkKind {
     ExactSyntheses,
     /// Synthesis-cache lookups (hit or miss).
     CacheProbes,
+    /// trasyn draws: one per sample per sampled site.
+    SampleDraws,
+    /// trasyn closing scores: table entries scored by the argmax closing
+    /// or the single-tensor search.
+    ClosingScores,
+    /// trasyn peephole windows looked up in the table.
+    PeepholeLookups,
 }
 
 /// Number of [`WorkKind`] variants (the counter array width).
-pub const KINDS: usize = 5;
+pub const KINDS: usize = 8;
 
 impl WorkKind {
     /// Every kind, in declaration (and serialization) order.
@@ -43,6 +52,9 @@ impl WorkKind {
         WorkKind::NormSolutions,
         WorkKind::ExactSyntheses,
         WorkKind::CacheProbes,
+        WorkKind::SampleDraws,
+        WorkKind::ClosingScores,
+        WorkKind::PeepholeLookups,
     ];
 
     /// Stable snake_case name, used as the JSON key and `/metrics`
@@ -54,6 +66,9 @@ impl WorkKind {
             WorkKind::NormSolutions => "norm_solutions",
             WorkKind::ExactSyntheses => "exact_syntheses",
             WorkKind::CacheProbes => "cache_probes",
+            WorkKind::SampleDraws => "sample_draws",
+            WorkKind::ClosingScores => "closing_scores",
+            WorkKind::PeepholeLookups => "peephole_lookups",
         }
     }
 
@@ -63,15 +78,7 @@ impl WorkKind {
 }
 
 thread_local! {
-    static COUNTS: [Cell<u64>; KINDS] = const {
-        [
-            Cell::new(0),
-            Cell::new(0),
-            Cell::new(0),
-            Cell::new(0),
-            Cell::new(0),
-        ]
-    };
+    static COUNTS: [Cell<u64>; KINDS] = const { [const { Cell::new(0) }; KINDS] };
 }
 
 /// Adds `n` events of `kind` to the calling thread's counters.
@@ -196,7 +203,10 @@ mod tests {
                 "norm_equations",
                 "norm_solutions",
                 "exact_syntheses",
-                "cache_probes"
+                "cache_probes",
+                "sample_draws",
+                "closing_scores",
+                "peephole_lookups"
             ]
         );
     }

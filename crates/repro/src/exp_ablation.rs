@@ -1,5 +1,5 @@
-//! Ablations of trasyn's design choices (DESIGN.md §6; supports the
-//! paper's Figure 1 claims).
+//! Ablations of trasyn's design choices (supports the paper's Figure 1
+//! claims).
 //!
 //! 1. **Error-aware vs uniform sampling** — the MPS samples sequences
 //!    with probability ∝ |trace|²; the ablation replaces this with
@@ -120,7 +120,10 @@ fn peephole_ablation(ctx: &Ctx) {
 fn tensor_scaling(ctx: &Ctx) {
     let targets = haar_targets(8, 0xAB1C);
     let mut rows = Vec::new();
-    println!("Ablation 3: error vs tensor count (fixed samples = {})", ctx.samples());
+    println!(
+        "Ablation 3: error vs tensor count (fixed samples = {})",
+        ctx.samples()
+    );
     for tensors in 1..=3usize {
         let mut errs = Vec::new();
         for (i, u) in targets.iter().enumerate() {
@@ -136,7 +139,10 @@ fn tensor_scaling(ctx: &Ctx) {
             );
             errs.push(out.error);
         }
-        println!("  {tensors} tensor(s): geomean error {:.2e}", geomean(&errs));
+        println!(
+            "  {tensors} tensor(s): geomean error {:.2e}",
+            geomean(&errs)
+        );
         rows.push(format!("{tensors},{:.6e}", geomean(&errs)));
     }
     write_csv(

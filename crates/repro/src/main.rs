@@ -9,9 +9,9 @@
 //!   all     (everything; hours at --full scale)
 //! ```
 //!
-//! Default parameters are scaled for a single-core CPU run (see
-//! DESIGN.md §7); `--full` restores paper-scale parameters where
-//! feasible. Each experiment prints its table/series and writes a CSV
+//! Default parameters are scaled for a single-core CPU run (sample
+//! counts and target counts; see `Ctx` in `context.rs`); `--full`
+//! restores paper-scale parameters where feasible. Each experiment prints its table/series and writes a CSV
 //! under `results/`.
 
 mod context;
@@ -38,7 +38,8 @@ fn main() {
     let cmd = args
         .iter()
         .enumerate()
-        .find(|(i, a)| !a.starts_with("--") && Some(*i) != out_pos.map(|p| p + 1)).map_or_else(|| "help".to_string(), |(_, a)| a.clone());
+        .find(|(i, a)| !a.starts_with("--") && Some(*i) != out_pos.map(|p| p + 1))
+        .map_or_else(|| "help".to_string(), |(_, a)| a.clone());
 
     if cmd == "help" {
         eprintln!(
@@ -73,8 +74,8 @@ fn main() {
 
     if cmd == "all" {
         for name in [
-            "table2", "fig3", "fig6", "table1", "fig7", "fig8", "fig9", "fig2", "fig10",
-            "fig11", "fig12", "fig13", "fig14", "ablation",
+            "table2", "fig3", "fig6", "table1", "fig7", "fig8", "fig9", "fig2", "fig10", "fig11",
+            "fig12", "fig13", "fig14", "ablation",
         ] {
             println!("\n================== {name} ==================");
             run(name, &ctx);

@@ -52,7 +52,6 @@
 use engine::BackendKind;
 use server::client::Conn;
 use std::process::ExitCode;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 use workloads::requests::{MixKind, RequestMix, RequestPayload};
 
@@ -312,14 +311,17 @@ struct WorkerReport {
     backlog: u64,
 }
 
+/// One connection's run: requests from its own seeded stream until its
+/// share `budget` of `--requests` (`u64::MAX` when unlimited) is spent or
+/// the deadline passes. Budgets are fixed per connection up front, so what
+/// a run sends depends on the seed alone, not on thread timing.
 fn worker(
     id: usize,
     opts: &Options,
     rate_per_conn: Option<f64>,
     t_start: Instant,
     deadline: Instant,
-    remaining: &AtomicU64,
-    stop: &AtomicBool,
+    mut budget: u64,
 ) -> WorkerReport {
     let mut mix = RequestMix::new(opts.mix, opts.angle_pool, opts.seed.wrapping_add(id as u64));
     let mut rng = XorShift::new(opts.seed.wrapping_mul(0x1000_0001).wrapping_add(id as u64));
@@ -337,15 +339,15 @@ fn worker(
     let mut next_send = rate_per_conn.map(|r| t_start + Duration::from_secs_f64(rng.exp_secs(r)));
     let mut conn: Option<Conn> = None;
     'run: loop {
-        if stop.load(Ordering::Relaxed) || Instant::now() >= deadline {
+        if budget == 0 || Instant::now() >= deadline {
             break;
         }
         if let Some(at) = next_send {
-            // Wait for the scheduled arrival (chunked so stop/deadline
-            // stay responsive). Late is fine — the backlog is the point.
+            // Wait for the scheduled arrival (chunked so the deadline stays
+            // responsive). Late is fine — the backlog is the point.
             loop {
                 let now = Instant::now();
-                if stop.load(Ordering::Relaxed) || now >= deadline {
+                if now >= deadline {
                     break 'run;
                 }
                 if now >= at {
@@ -354,7 +356,7 @@ fn worker(
                 std::thread::sleep((at - now).min(Duration::from_millis(20)));
             }
         }
-        // Connect (or reconnect) before taking a budget unit, so failed
+        // Connect (or reconnect) before spending a budget unit, so failed
         // connects don't silently burn the --requests budget.
         let c = match conn.as_mut() {
             Some(c) => c,
@@ -367,27 +369,7 @@ fn worker(
                 }
             },
         };
-        // Global request budget (u64::MAX when unlimited): CAS so the
-        // worker pool sends exactly the requested count.
-        let mut budget = remaining.load(Ordering::Relaxed);
-        let took = loop {
-            if budget == 0 {
-                break false;
-            }
-            match remaining.compare_exchange_weak(
-                budget,
-                budget - 1,
-                Ordering::Relaxed,
-                Ordering::Relaxed,
-            ) {
-                Ok(_) => break true,
-                Err(cur) => budget = cur,
-            }
-        };
-        if !took {
-            stop.store(true, Ordering::Relaxed);
-            break;
-        }
+        budget -= 1;
         let body = body_of(&mix.sample(), opts);
         // Open loop measures from the scheduled send time: queueing delay
         // behind a slow server lands in the percentiles.
@@ -416,7 +398,7 @@ fn worker(
     // A run the deadline ended (not the request budget): walk the rest of
     // the schedule up to the deadline to count what the server never got.
     if let (Some(mut at), Some(rate)) = (next_send, rate_per_conn) {
-        if !stop.load(Ordering::Relaxed) {
+        if budget > 0 {
             while at < deadline {
                 report.backlog += 1;
                 at += Duration::from_secs_f64(rng.exp_secs(rate));
@@ -459,7 +441,10 @@ impl ServerStats {
             available: true,
             cache_hits: m("trasyn_cache_hits_total"),
             cache_misses: m("trasyn_cache_misses_total"),
-            queue_wait_ms_mean: mean(m("trasyn_queue_wait_ms_sum"), m("trasyn_queue_wait_ms_count")),
+            queue_wait_ms_mean: mean(
+                m("trasyn_queue_wait_ms_sum"),
+                m("trasyn_queue_wait_ms_count"),
+            ),
             service_ms_mean: mean(m("trasyn_service_ms_sum"), m("trasyn_service_ms_count")),
             slow_requests: m("trasyn_slow_requests_total"),
         }
@@ -525,21 +510,28 @@ fn run_workers(
             duration
         };
     let rate_per_conn = offered_rate.map(|r| r / opts.connections as f64);
-    let remaining = AtomicU64::new(requests.unwrap_or(u64::MAX));
-    let stop = AtomicBool::new(false);
+    // Connection i sends ⌊R/N⌋ requests, plus one of the R mod N left over.
+    let n = opts.connections as u64;
+    let budget = |i: usize| requests.map_or(u64::MAX, |r| r / n + u64::from((i as u64) < r % n));
     let t0 = Instant::now();
     let reports: Vec<WorkerReport> = std::thread::scope(|s| {
-        let (remaining, stop) = (&remaining, &stop);
         let handles: Vec<_> = (0..opts.connections)
             .map(|i| {
-                s.spawn(move || worker(i, opts, rate_per_conn, t0, deadline, remaining, stop))
+                let budget = budget(i);
+                s.spawn(move || worker(i, opts, rate_per_conn, t0, deadline, budget))
             })
             .collect();
-        handles.into_iter().map(|h| h.join().expect("worker panicked")).collect()
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("worker panicked"))
+            .collect()
     });
     let elapsed = t0.elapsed().as_secs_f64();
 
-    let mut latencies: Vec<f64> = reports.iter().flat_map(|r| r.latencies_ms.iter().copied()).collect();
+    let mut latencies: Vec<f64> = reports
+        .iter()
+        .flat_map(|r| r.latencies_ms.iter().copied())
+        .collect();
     latencies.sort_by(|a, b| a.partial_cmp(b).expect("latencies are finite"));
     let sum = |f: fn(&WorkerReport) -> u64| reports.iter().map(f).sum();
     RunResult {
@@ -584,7 +576,10 @@ fn load_run(opts: &Options) -> ExitCode {
     println!(
         "  requests: {total} total — {ok} ok, {rejected} rejected (429), {errors} errors, {transport} transport failures"
     );
-    println!("  throughput: {:.1} req/s", total as f64 / elapsed.max(1e-9));
+    println!(
+        "  throughput: {:.1} req/s",
+        total as f64 / elapsed.max(1e-9)
+    );
     println!(
         "  latency ms: p50 {:.3}, p90 {:.3}, p95 {:.3}, p99 {:.3}, max {:.3}",
         percentile(latencies, 0.50),
@@ -639,7 +634,12 @@ fn sweep_run(opts: &Options) -> ExitCode {
     let (mut errors, mut transport): (u64, u64) = (0, 0);
     for i in 0..count {
         let offered = start + step * i as f64;
-        let run = run_workers(opts, Some(offered), Duration::from_secs_f64(step_secs), None);
+        let run = run_workers(
+            opts,
+            Some(offered),
+            Duration::from_secs_f64(step_secs),
+            None,
+        );
         errors += run.errors;
         transport += run.transport;
         println!(
@@ -678,16 +678,26 @@ fn smoke(opts: &Options) -> Result<(), String> {
         .map_err(|e| format!("cannot connect to {}: {e}", opts.addr))?;
 
     // healthz
-    let resp = conn.request("GET", "/healthz", None).map_err(|e| e.to_string())?;
+    let resp = conn
+        .request("GET", "/healthz", None)
+        .map_err(|e| e.to_string())?;
     if resp.status != 200 || !resp.body.contains("\"ok\"") {
-        return Err(format!("healthz: status {} body {:?}", resp.status, resp.body));
+        return Err(format!(
+            "healthz: status {} body {:?}",
+            resp.status, resp.body
+        ));
     }
 
     // one single compile
     let body = body_of(&mix.sample(), opts);
-    let resp = conn.request("POST", "/v1/compile", Some(&body)).map_err(|e| e.to_string())?;
+    let resp = conn
+        .request("POST", "/v1/compile", Some(&body))
+        .map_err(|e| e.to_string())?;
     if resp.status != 200 {
-        return Err(format!("compile: status {} body {:?}", resp.status, resp.body));
+        return Err(format!(
+            "compile: status {} body {:?}",
+            resp.status, resp.body
+        ));
     }
     let parsed = server::json::parse(&resp.body).map_err(|e| format!("compile response: {e}"))?;
     for key in ["qasm", "t_count", "cache_hits", "cache_misses"] {
@@ -702,18 +712,28 @@ fn smoke(opts: &Options) -> Result<(), String> {
         body_of(&mix.sample(), opts),
         body_of(&mix.sample(), opts)
     );
-    let resp = conn.request("POST", "/v1/batch", Some(&batch)).map_err(|e| e.to_string())?;
+    let resp = conn
+        .request("POST", "/v1/batch", Some(&batch))
+        .map_err(|e| e.to_string())?;
     if resp.status != 200 {
-        return Err(format!("batch: status {} body {:?}", resp.status, resp.body));
+        return Err(format!(
+            "batch: status {} body {:?}",
+            resp.status, resp.body
+        ));
     }
     let parsed = server::json::parse(&resp.body).map_err(|e| format!("batch response: {e}"))?;
-    let n = parsed.get("items").and_then(|v| v.as_arr()).map(|a| a.len());
+    let n = parsed
+        .get("items")
+        .and_then(|v| v.as_arr())
+        .map(|a| a.len());
     if n != Some(2) {
         return Err(format!("batch response items: {n:?}, want Some(2)"));
     }
 
     // metrics well-formedness
-    let resp = conn.request("GET", "/metrics", None).map_err(|e| e.to_string())?;
+    let resp = conn
+        .request("GET", "/metrics", None)
+        .map_err(|e| e.to_string())?;
     if resp.status != 200 {
         return Err(format!("metrics: status {}", resp.status));
     }
@@ -760,13 +780,17 @@ fn smoke(opts: &Options) -> Result<(), String> {
     }
     let compiles = metric(&resp.body, "trasyn_requests_total{endpoint=\"compile\"}");
     if !matches!(compiles, Some(x) if x >= 1.0) {
-        return Err(format!("metrics compile counter not incremented: {compiles:?}"));
+        return Err(format!(
+            "metrics compile counter not incremented: {compiles:?}"
+        ));
     }
 
     // /debug/traces shape: a JSON array; when tracing is on (the default
     // server config) the compile/batch requests above must be retained,
     // each with a trace id and a span tree.
-    let resp = conn.request("GET", "/debug/traces", None).map_err(|e| e.to_string())?;
+    let resp = conn
+        .request("GET", "/debug/traces", None)
+        .map_err(|e| e.to_string())?;
     if resp.status != 200 {
         return Err(format!("debug/traces: status {}", resp.status));
     }
@@ -790,13 +814,18 @@ fn smoke(opts: &Options) -> Result<(), String> {
         .request("GET", "/debug/traces?min_ms=bogus", None)
         .map_err(|e| e.to_string())?;
     if resp.status != 400 {
-        return Err(format!("debug/traces?min_ms=bogus: status {}, want 400", resp.status));
+        return Err(format!(
+            "debug/traces?min_ms=bogus: status {}, want 400",
+            resp.status
+        ));
     }
 
     // /debug/profile shape: engine stats (work/pool/alloc/cache_shards)
     // plus queue-depth sampling, with plausible work counters — the
     // compile/batch requests above synthesized at least one rotation.
-    let resp = conn.request("GET", "/debug/profile", None).map_err(|e| e.to_string())?;
+    let resp = conn
+        .request("GET", "/debug/profile", None)
+        .map_err(|e| e.to_string())?;
     if resp.status != 200 {
         return Err(format!("debug/profile: status {}", resp.status));
     }

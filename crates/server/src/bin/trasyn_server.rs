@@ -201,9 +201,11 @@ fn parse_args(args: &[String]) -> Result<Option<Options>, String> {
 /// links libc on every supported platform, so declaring `signal(2)` is
 /// enough. The handler only sets an atomic — everything async-signal-safe.
 ///
-/// The sole `unsafe` in the workspace lives here (the workspace denies
-/// `unsafe_code`); the allow is scoped to this module so any new unsafe
-/// elsewhere still fails the build.
+/// The workspace denies `unsafe_code`, and this module is one of its
+/// three `#[allow(unsafe_code)]` islands, with `server::sys` (epoll and
+/// eventfd) and `prof::alloc` (the counting `GlobalAlloc`). Each allow is
+/// scoped to its module so any new unsafe elsewhere still fails the
+/// build, and CI fails if a fourth file allows it.
 //
 // SAFETY: the `signal` extern matches the libc prototype `void
 // (*signal(int, void (*)(int)))(int)` up to the handler pointer being

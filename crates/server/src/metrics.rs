@@ -521,7 +521,7 @@ mod tests {
 
     fn work() -> WorkSnapshot {
         let mut w = WorkSnapshot::default();
-        for (kind, n) in WorkKind::ALL.into_iter().zip([40, 30, 20, 10, 7]) {
+        for (kind, n) in WorkKind::ALL.into_iter().zip([40, 30, 20, 10, 7, 6, 5, 4]) {
             w.add(kind, n);
         }
         w
@@ -640,6 +640,7 @@ mod tests {
             "trasyn_pass_rotations_out_total{pass=\"fuse\"} 7",
             "trasyn_work_total{kind=\"grid_candidates\"} 40",
             "trasyn_work_total{kind=\"cache_probes\"} 7",
+            "trasyn_work_total{kind=\"peephole_lookups\"} 4",
             "trasyn_pool_runs_total 2",
             "trasyn_pool_jobs_total 8",
             "trasyn_pool_busy_ms_total 6",

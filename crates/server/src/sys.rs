@@ -1,9 +1,10 @@
 //! Thin raw-syscall wrappers for the event-driven server core: `epoll`
 //! and `eventfd`, Linux-only, dependency-free.
 //!
-//! The workspace denies `unsafe_code`; this module is the server crate's
-//! single `#[allow(unsafe_code)]` island (the same pattern as the `sig`
-//! module in `trasyn-server`). Everything unsafe is an `extern "C"`
+//! The workspace denies `unsafe_code`; this module is the server
+//! library's single `#[allow(unsafe_code)]` island, one of the
+//! workspace's three with the `sig` module in `trasyn-server` and
+//! `prof::alloc`. Everything unsafe is an `extern "C"`
 //! declaration of a libc symbol `std` already links against, wrapped in
 //! a safe RAII type that owns its file descriptor; nothing unsafe leaks
 //! past this file's API.
@@ -248,8 +249,13 @@ mod tests {
         assert_ne!(events[0].readiness() & EPOLLIN, 0);
 
         // modify + delete round-trip.
-        ep.modify(listener.as_raw_fd(), EPOLLIN | EPOLLOUT, 43).unwrap();
+        ep.modify(listener.as_raw_fd(), EPOLLIN | EPOLLOUT, 43)
+            .unwrap();
         ep.delete(listener.as_raw_fd()).unwrap();
-        assert_eq!(ep.wait(&mut events, 0).unwrap(), 0, "deleted fd reports nothing");
+        assert_eq!(
+            ep.wait(&mut events, 0).unwrap(),
+            0,
+            "deleted fd reports nothing"
+        );
     }
 }

@@ -1,17 +1,19 @@
 //! Black-box tests of the `trasyn-loadgen` binary against an in-process
 //! server: the smoke, closed-loop, open-loop and sweep modes run clean,
-//! the sweep's knee does not mistake a short step's schedule noise for
-//! saturation, and a flag the chosen mode would ignore is a usage error
-//! (exit 2, one `error:` line) rather than silently dropped.
+//! a `--requests` run sends the same requests every time, the sweep's
+//! knee does not mistake a short step's schedule noise for saturation,
+//! and a flag the chosen mode would ignore is a usage error (exit 2, one
+//! `error:` line) rather than silently dropped.
 //!
 //! The server needs Linux; so does this file.
 
 #![cfg(target_os = "linux")]
 
 use engine::{BackendKind, Engine, GridsynthBackend};
-use server::{Server, ServerConfig, ServerHandle};
+use server::{Conn, Server, ServerConfig, ServerHandle};
 use std::process::{Command, Output};
 use std::sync::Arc;
+use std::time::Duration;
 
 fn start_server() -> ServerHandle {
     let engine = Arc::new(
@@ -75,6 +77,43 @@ fn smoke_closed_loop_and_open_loop_runs_succeed() {
     assert!(stdout.contains("requests: 10 total — 10 ok"), "{stdout}");
 
     handle.shutdown();
+}
+
+/// `trasyn_<name> <value>` from a /metrics exposition.
+fn metric(text: &str, name: &str) -> u64 {
+    text.lines()
+        .find(|l| l.starts_with(name) && l[name.len()..].starts_with(' '))
+        .and_then(|l| l[name.len() + 1..].trim().parse::<f64>().ok())
+        .unwrap_or_else(|| panic!("metric {name} missing in:\n{text}")) as u64
+}
+
+/// Each connection of a `--requests` run sends its fixed share of the
+/// budget from its own seeded stream, so two runs against fresh servers
+/// make the same cache lookups and leave the same cache behind.
+#[test]
+fn request_budget_runs_are_repeatable() {
+    let cache_after_run = || {
+        let handle = start_server();
+        let addr = handle.addr().to_string();
+        let run = loadgen(
+            &addr,
+            "--connections 4 --requests 402 --mix mixed --seed 7 --fail-on-error",
+        );
+        assert_eq!(run.status.code(), Some(0), "{}", stderr_of(&run));
+        assert!(stdout_of(&run).contains("requests: 402 total — 402 ok"));
+        let mut c = Conn::connect(&addr, Duration::from_secs(30)).expect("connect");
+        let m = c.request("GET", "/metrics", None).expect("scrape").body;
+        handle.shutdown();
+        let lookups =
+            metric(&m, "trasyn_cache_hits_total") + metric(&m, "trasyn_cache_misses_total");
+        (lookups, metric(&m, "trasyn_cache_entries"))
+    };
+    let first = cache_after_run();
+    assert!(
+        first.0 > 402,
+        "a mixed run looks up more than one rotation per request"
+    );
+    assert_eq!(first, cache_after_run());
 }
 
 /// Seed 1's first 25 req/s step schedules only 17 arrivals in its one

@@ -19,7 +19,7 @@ use server::{Endpoint, Metrics};
 /// field can't hide behind a default zero.
 fn stats() -> EngineStats {
     let mut work = WorkSnapshot::default();
-    for (kind, n) in WorkKind::ALL.into_iter().zip([40, 30, 20, 10, 7]) {
+    for (kind, n) in WorkKind::ALL.into_iter().zip([40, 30, 20, 10, 7, 6, 5, 4]) {
         work.add(kind, n);
     }
     let mut fuse = PassTotals::named("fuse");

@@ -16,10 +16,24 @@
 //!
 //! Perfect sampling needs marginals `Σ_rest |f|²`, which are quadratic
 //! forms `vec(V)† Ē vec(V)` ([`quad`]) in the bond state with *right
-//! environment* matrices `E_i = Σ_{sᵢ..s_l} r·r†` computed once per site
-//! set. This is exactly what the paper's canonical form encodes (a
-//! right-canonical MPS makes `E` the identity); keeping `E` explicit avoids
-//! re-canonicalizing per target and keeps everything in fixed-size arrays.
+//! environment* matrices `E_i = Σ_{sᵢ..s_l} r·r†`. This is exactly what
+//! the paper's canonical form encodes (a right-canonical MPS makes `E` the
+//! identity); keeping `E` explicit avoids re-canonicalizing per target and
+//! keeps everything in fixed-size arrays.
+//!
+//! # Environments in closed form
+//!
+//! Every site draws from a slice `up_to_t(b)`, which is closed under
+//! multiplication by Cliffords, and the Clifford group is a unitary
+//! 2-design. So each slice averages like Haar measure to second order:
+//! `Σ_s vec(M_s)·vec(M_s)† = (n/2)·I` over `n` entries, and the map
+//! `vec(V) ↦ vec(MᵀV)` is unitary. The environments are therefore scaled
+//! identities, `E_last = (n_last/2)·I` and `E_i = n_{i+1}·E_{i+1}`, and
+//! [`TraceMps::new`] writes them down instead of summing over the table.
+//! One consequence: a middle site's marginal `c·‖MᵀV‖² = c·‖V‖²` is the
+//! same for every entry, so internal draws are uniform. The sampler keeps
+//! the weighted draw (the paper's algorithm, and what `repro ablation`
+//! measures); the fact is what makes uniform internal draws a candidate.
 //!
 //! # SU(2) coordinates
 //!
@@ -36,6 +50,15 @@
 //!   — 14 multiplies and 9 adds per entry instead of 280 flops;
 //! * `ClosingForm`: `|close(V, M)|² = (Re a·x)² + (Im a·x)²` with
 //!   `a = (V₀+V₃, i(V₀−V₃), V₁−V₂, i(V₁+V₂))` — two real dot products.
+//!
+//! Both are quadratic forms in `x`, so they are also 10 coefficients
+//! against the 10 monomials `xᵢxⱼ` (`monomials`): dotted with a table
+//! block's summed monomials, they give the block's total weight without
+//! touching its entries. For a unitary bond state, `a = 2·e^{iψ}·y` with
+//! `y` a real unit quaternion, so the closing score is `4(y·x)²` and its
+//! maximum is a nearest-neighbour query on S³ up to sign
+//! ([`crate::s3index`]); `ClosingForm::radius` turns a score threshold
+//! into a query radius.
 //!
 //! The forms agree with the references to rounding (~1e-15 relative), not
 //! bit for bit; see [`crate::sample`] for why the sampler's outputs are
@@ -57,11 +80,12 @@ pub(crate) type Planes<'t> = [&'t [f64]; 4];
 pub struct TraceMps<'t> {
     /// Per-site matrix tables (slices of the step-0 table).
     pub sites: Vec<&'t [TableEntry]>,
-    /// The same slices' unit quaternions, which the sampler scores.
-    pub(crate) planes: Vec<Planes<'t>>,
+    /// The table the slices come from: its quaternion planes, block
+    /// moments and S³ index are what the sampler reads.
+    pub(crate) table: &'t UnitaryTable,
     /// `env[i]` = right environment of everything *after* site `i`
     /// (so `env[l-1]` is unused during weight evaluation of the last site;
-    /// by convention it is the rank-one closing environment).
+    /// by convention it is the closing environment).
     pub env: Vec<Env4>,
 }
 
@@ -202,7 +226,54 @@ impl SiteForm {
             + x3 * (c[9] * x3);
         w.max(0.0)
     }
+
+    /// The form against [`monomials`]: `weight(x) = c·monomials(x)`
+    /// before clamping.
+    pub fn coefficients(&self) -> &[f64; 10] {
+        &self.c
+    }
 }
+
+/// The 10 quadratic monomials of `x` in the order the forms' coefficients
+/// use: `[x₀², x₀x₁, x₀x₂, x₀x₃, x₁², x₁x₂, x₁x₃, x₂², x₂x₃, x₃²]`.
+pub(crate) fn monomials([x0, x1, x2, x3]: [f64; 4]) -> [f64; 10] {
+    [
+        x0 * x0,
+        x0 * x1,
+        x0 * x2,
+        x0 * x3,
+        x1 * x1,
+        x1 * x2,
+        x1 * x3,
+        x2 * x2,
+        x2 * x3,
+        x3 * x3,
+    ]
+}
+
+/// Width of the argmax closing's exact re-scoring window, relative to
+/// `max(1, best)`: far wider than the forms' ~1e-15 rounding, so the
+/// reference's maximum always falls inside, and narrow enough to hold
+/// only exact ties and near-ties.
+const CLOSING_WINDOW: f64 = 1e-9;
+
+/// The lowest form score inside the closing window below `best`. It grows
+/// with `best`, so a floor taken from a running maximum never exceeds the
+/// final one.
+pub(crate) fn window_floor(best: f64) -> f64 {
+    best - CLOSING_WINDOW * best.max(1.0)
+}
+
+/// `true` unless `score` is below `floor`: the reference's test, under
+/// which a NaN score stays in the window.
+pub(crate) fn in_window(score: f64, floor: f64) -> bool {
+    score.partial_cmp(&floor) != Some(std::cmp::Ordering::Less)
+}
+
+/// Rounding slack of [`ClosingForm::radius`], in units of `|ŷ·x|` and of
+/// chordal distance: far above the ~1e-15 error of the forms and the
+/// quaternions, far below any gap the radius separates.
+const RADIUS_SLACK: f64 = 1e-9;
 
 /// A particle's closing scores as two real dot products:
 /// [`ClosingForm::score`]`(x)` is `|close(V, M)|²` for the entry `M` with
@@ -232,6 +303,64 @@ impl ClosingForm {
         let im = i[0] * x0 + i[1] * x1 + i[2] * x2 + i[3] * x3;
         re * re + im * im
     }
+
+    /// The score against [`monomials`]: `score(x) = c·monomials(x)` up to
+    /// rounding, with `c` the upper triangle of `Re a·aᵀ + Im a·Im aᵀ`,
+    /// off-diagonal terms doubled.
+    pub fn coefficients(&self) -> [f64; 10] {
+        let (r, i) = (&self.re, &self.im);
+        let mut c = [0.0; 10];
+        let mut next = 0;
+        for j in 0..4 {
+            for k in j..4 {
+                let v = r[j] * r[k] + i[j] * i[k];
+                c[next] = if j == k { v } else { 2.0 * v };
+                next += 1;
+            }
+        }
+        c
+    }
+
+    /// The real unit direction `ŷ` of `a` (a unit quaternion, up to sign):
+    /// `a` with the phase of its largest coordinate removed, real part,
+    /// normalized. For a unitary bond state `a = 2·e^{iψ}·ŷ` to rounding.
+    pub fn axis(&self) -> [f64; 4] {
+        let (r, i) = (&self.re, &self.im);
+        let big = (0..4)
+            .max_by(|&j, &k| (r[j] * r[j] + i[j] * i[j]).total_cmp(&(r[k] * r[k] + i[k] * i[k])))
+            .expect("four coordinates");
+        // Re(a·e^{−iψ}) up to the positive factor |a_big|.
+        let y: [f64; 4] = std::array::from_fn(|k| r[k] * r[big] + i[k] * i[big]);
+        let norm = y.iter().map(|v| v * v).sum::<f64>().sqrt();
+        y.map(|v| v / norm)
+    }
+
+    /// A chordal radius around `±y` (`y` from [`ClosingForm::axis`])
+    /// holding every unit quaternion `x` with `score(x) ≥ tau`, or `None`
+    /// when the bound gives no usable radius (`tau ≤ 0`, or `a` too far
+    /// from a real direction).
+    ///
+    /// With `a = (a·y)·y + a⊥`, `|a·x| ≤ |a·y|·|y·x| + |a⊥|`, so
+    /// `score(x) ≥ tau` forces `|y·x| ≥ c = (√tau − |a⊥|)/|a·y|`, and
+    /// `‖x ∓ y‖² = 2 − 2|y·x| ≤ 2 − 2c`. Both steps carry
+    /// `RADIUS_SLACK` for rounding.
+    pub fn radius(&self, y: [f64; 4], tau: f64) -> Option<f64> {
+        if tau.is_nan() || tau <= 0.0 {
+            return None;
+        }
+        let dot = |v: &[f64; 4]| v.iter().zip(y).map(|(a, b)| a * b).sum::<f64>();
+        let (along_re, along_im) = (dot(&self.re), dot(&self.im));
+        let along = along_re.hypot(along_im);
+        let perp = (0..4)
+            .map(|k| {
+                let (pr, pi) = (self.re[k] - along_re * y[k], self.im[k] - along_im * y[k]);
+                pr * pr + pi * pi
+            })
+            .sum::<f64>()
+            .sqrt();
+        let c = (tau.sqrt() - perp) / along - RADIUS_SLACK;
+        (c > 0.0).then(|| (2.0 - 2.0 * c).max(0.0).sqrt() + RADIUS_SLACK)
+    }
 }
 
 impl<'t> TraceMps<'t> {
@@ -244,9 +373,8 @@ impl<'t> TraceMps<'t> {
     pub fn new(table: &'t UnitaryTable, budgets: &[usize]) -> Self {
         assert!(!budgets.is_empty(), "at least one tensor required");
         let sites: Vec<&[TableEntry]> = budgets.iter().map(|&b| table.up_to_t(b)).collect();
-        let planes = budgets.iter().map(|&b| table.planes_up_to_t(b)).collect();
-        let env = compute_environments(&sites);
-        TraceMps { sites, planes, env }
+        let env = environments(&sites);
+        TraceMps { sites, table, env }
     }
 
     /// Number of sites.
@@ -266,66 +394,29 @@ impl<'t> TraceMps<'t> {
             .map(|s| s.iter().map(|e| e.t_count).max().unwrap_or(0))
             .sum()
     }
+
+    /// Site `i`'s entries as quaternion planes.
+    pub(crate) fn planes(&self, i: usize) -> Planes<'t> {
+        self.table.planes(self.sites[i].len())
+    }
 }
 
-/// Right environments, from the last site leftwards.
-///
-/// `E_last = Σ_s vec(M[s])·vec(M[s])†` (closing vectors), and for middle
-/// sites `E_i = Σ_s K[s]† E_{i+1} K[s]` where `K[s]` is the linear action
-/// `vec(V) ↦ vec(M[s]ᵀV)` — derived from `r_new = K[s]ᵀ r`, giving
-/// `E_i = Σ K[s]ᵀ E_{i+1} conj(K[s])` which in components is the loop
-/// below.
-fn compute_environments(sites: &[&[TableEntry]]) -> Vec<Env4> {
-    let l = sites.len();
-    let mut env = vec![[[Complex64::ZERO; 4]; 4]; l];
-    // Closing environment for the last site.
-    let mut e_last = [[Complex64::ZERO; 4]; 4];
-    for entry in sites[l - 1] {
-        let r = vec4(&entry.matrix);
-        for p in 0..4 {
-            for q in 0..4 {
-                e_last[p][q] += r[p] * r[q].conj();
-            }
-        }
-    }
-    env[l - 1] = e_last;
-    // Middle sites, right to left: new r = K[s]ᵀ r with
-    // (K[s]ᵀ r)_{(a,z)} = Σ_{a'} M_{a,a'} r_{(a',z)}.
-    for i in (0..l - 1).rev() {
+/// Right environments in closed form (module docs): `E_last = (n_last/2)·I`
+/// for the closing vectors, and `E_i = n_{i+1}·E_{i+1}` leftwards.
+fn environments(sites: &[&[TableEntry]]) -> Vec<Env4> {
+    let scaled_identity = |c: f64| {
         let mut e = [[Complex64::ZERO; 4]; 4];
-        let e_next = env[i + 1];
-        for entry in sites[i + 1] {
-            let m = &entry.matrix;
-            // E_i += Aᵀ where A_{(p),(q)} = Σ M terms; implement directly:
-            // E_i[(a1,z1)][(a2,z2)] += Σ_{a1',a2'} M_{a1',a1}... careful:
-            // r_new_{(a,z)} = Σ_{a'} M_{a',a}? Derive: V' = MᵀV means
-            // V'_{a,z} = Σ_{a'} M_{a',a} V_{a',z}; f is linear in V with
-            // r_new such that Σ_p V_p r_new_p = Σ_{p'} V'_{p'} r_{p'}:
-            // Σ_{a,z} V_{a,z} r_new_{(a,z)} = Σ_{a',z} V'_{a',z} r_{(a',z)}
-            //   = Σ_{a',z} Σ_a M_{a,a'} V_{a,z} r_{(a',z)}
-            // ⇒ r_new_{(a,z)} = Σ_{a'} M_{a,a'} r_{(a',z)}.
-            // Then E_i = Σ_s r_new r_new† accumulated over E_{i+1}:
-            // E_i[(a1,z1)][(a2,z2)] += Σ_{a1',a2'} M_{a1,a1'} conj(M_{a2,a2'})
-            //                          · E_{i+1}[(a1',z1)][(a2',z2)].
-            for a1 in 0..2 {
-                for z1 in 0..2 {
-                    for a2 in 0..2 {
-                        for z2 in 0..2 {
-                            let mut acc = Complex64::ZERO;
-                            for a1p in 0..2 {
-                                for a2p in 0..2 {
-                                    acc += m.e[a1 * 2 + a1p]
-                                        * m.e[a2 * 2 + a2p].conj()
-                                        * e_next[a1p * 2 + z1][a2p * 2 + z2];
-                                }
-                            }
-                            e[a1 * 2 + z1][a2 * 2 + z2] += acc;
-                        }
-                    }
-                }
-            }
+        for (p, row) in e.iter_mut().enumerate() {
+            row[p] = Complex64::new(c, 0.0);
         }
-        env[i] = e;
+        e
+    };
+    let l = sites.len();
+    let mut c = sites[l - 1].len() as f64 / 2.0;
+    let mut env = vec![scaled_identity(c); l];
+    for i in (0..l - 1).rev() {
+        c *= sites[i + 1].len() as f64;
+        env[i] = scaled_identity(c);
     }
     env
 }
@@ -339,6 +430,68 @@ mod tests {
 
     fn table() -> UnitaryTable {
         UnitaryTable::build(2)
+    }
+
+    /// Right environments, from the last site leftwards.
+    ///
+    /// `E_last = Σ_s vec(M[s])·vec(M[s])†` (closing vectors), and for middle
+    /// sites `E_i = Σ_s K[s]† E_{i+1} K[s]` where `K[s]` is the linear action
+    /// `vec(V) ↦ vec(M[s]ᵀV)` — derived from `r_new = K[s]ᵀ r`, giving
+    /// `E_i = Σ K[s]ᵀ E_{i+1} conj(K[s])` which in components is the loop
+    /// below.
+    fn compute_environments(sites: &[&[TableEntry]]) -> Vec<Env4> {
+        let l = sites.len();
+        let mut env = vec![[[Complex64::ZERO; 4]; 4]; l];
+        // Closing environment for the last site.
+        let mut e_last = [[Complex64::ZERO; 4]; 4];
+        for entry in sites[l - 1] {
+            let r = vec4(&entry.matrix);
+            for p in 0..4 {
+                for q in 0..4 {
+                    e_last[p][q] += r[p] * r[q].conj();
+                }
+            }
+        }
+        env[l - 1] = e_last;
+        // Middle sites, right to left: new r = K[s]ᵀ r with
+        // (K[s]ᵀ r)_{(a,z)} = Σ_{a'} M_{a,a'} r_{(a',z)}.
+        for i in (0..l - 1).rev() {
+            let mut e = [[Complex64::ZERO; 4]; 4];
+            let e_next = env[i + 1];
+            for entry in sites[i + 1] {
+                let m = &entry.matrix;
+                // E_i += Aᵀ where A_{(p),(q)} = Σ M terms; implement directly:
+                // E_i[(a1,z1)][(a2,z2)] += Σ_{a1',a2'} M_{a1',a1}... careful:
+                // r_new_{(a,z)} = Σ_{a'} M_{a',a}? Derive: V' = MᵀV means
+                // V'_{a,z} = Σ_{a'} M_{a',a} V_{a',z}; f is linear in V with
+                // r_new such that Σ_p V_p r_new_p = Σ_{p'} V'_{p'} r_{p'}:
+                // Σ_{a,z} V_{a,z} r_new_{(a,z)} = Σ_{a',z} V'_{a',z} r_{(a',z)}
+                //   = Σ_{a',z} Σ_a M_{a,a'} V_{a,z} r_{(a',z)}
+                // ⇒ r_new_{(a,z)} = Σ_{a'} M_{a,a'} r_{(a',z)}.
+                // Then E_i = Σ_s r_new r_new† accumulated over E_{i+1}:
+                // E_i[(a1,z1)][(a2,z2)] += Σ_{a1',a2'} M_{a1,a1'} conj(M_{a2,a2'})
+                //                          · E_{i+1}[(a1',z1)][(a2',z2)].
+                for a1 in 0..2 {
+                    for z1 in 0..2 {
+                        for a2 in 0..2 {
+                            for z2 in 0..2 {
+                                let mut acc = Complex64::ZERO;
+                                for a1p in 0..2 {
+                                    for a2p in 0..2 {
+                                        acc += m.e[a1 * 2 + a1p]
+                                            * m.e[a2 * 2 + a2p].conj()
+                                            * e_next[a1p * 2 + z1][a2p * 2 + z2];
+                                    }
+                                }
+                                e[a1 * 2 + z1][a2 * 2 + z2] += acc;
+                            }
+                        }
+                    }
+                }
+            }
+            env[i] = e;
+        }
+        env
     }
 
     /// `conj(U)`: the bond state before site 1.
@@ -449,6 +602,30 @@ mod tests {
     }
 
     #[test]
+    fn closed_form_environments_match_the_sums() {
+        // The 2-design argument against the direct sums over the table.
+        let t = UnitaryTable::build(6);
+        for budgets in [vec![6, 6, 6], vec![2, 3, 4], vec![0, 5], vec![6]] {
+            let mps = TraceMps::new(&t, &budgets);
+            let reference = compute_environments(&mps.sites);
+            for (got, want) in mps.env.iter().zip(&reference) {
+                let scale = want[0][0].re;
+                for p in 0..4 {
+                    for q in 0..4 {
+                        let diff = (got[p][q] - want[p][q]).abs();
+                        assert!(
+                            diff <= 1e-12 * scale,
+                            "budgets {budgets:?}: E[{p}][{q}] {} vs {}",
+                            got[p][q],
+                            want[p][q]
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
     fn environments_are_hermitian_psd_diagonal() {
         let t = table();
         let mps = TraceMps::new(&t, &[1, 2]);
@@ -486,7 +663,7 @@ mod tests {
         fn site_form_matches_quad_of_advance(v in unitary()) {
             let t = UnitaryTable::build(3);
             let mps = TraceMps::new(&t, &[3, 3, 3]);
-            let planes = t.planes_up_to_t(3);
+            let planes = t.planes(t.len());
             for e in &mps.env[1..] {
                 let form = SiteForm::new(e, &v);
                 let reference: Vec<f64> = t
@@ -510,7 +687,7 @@ mod tests {
         #[test]
         fn closing_form_matches_close(v in unitary()) {
             let t = UnitaryTable::build(3);
-            let planes = t.planes_up_to_t(3);
+            let planes = t.planes(t.len());
             let form = ClosingForm::new(&v);
             for (s, m) in t.entries().iter().enumerate() {
                 let want = close(&v, &m.matrix).norm_sqr();

@@ -11,38 +11,50 @@
 //!
 //! Sampling starts from one root particle holding all `k` draws and the
 //! bond state `conj(U)`. At every site but the last, each particle builds
-//! one `SiteForm` from its bond state and the site's right environment,
-//! scores every table entry with it in the entry's SU(2) coordinates
-//! (streamed from the table's quaternion planes), draws its children, and
-//! computes bond states ([`advance`]) only for the children it drew.
-//! [`sample_sequences`] and [`sample_best`] share this one propagation over
-//! per-call scratch buffers and differ only at the last site: the former
-//! draws from `ClosingForm` scores, the latter takes their argmax.
+//! one `SiteForm` from its bond state and the site's right environment and
+//! draws its children without scoring the whole site: the form's 10
+//! coefficients dotted with the table's running monomial sums give the
+//! running weight at every `BLOCK`-th entry, a binary search over those
+//! finds the block a uniform variate falls in, and a scan of at most
+//! `BLOCK` entries with the per-entry weight finds the entry. Bond states
+//! ([`advance`]) are computed only for the children drawn.
+//! [`sample_sequences`] and [`sample_best`] share this one propagation and
+//! differ only at the last site: the former draws from `ClosingForm`
+//! scores the same way, the latter takes their argmax.
+//!
+//! The argmax closing never scans the table either. Its score is
+//! `4(y·x)²` for the particle's direction `y`, so the entries that can
+//! beat a score threshold lie in a ball around `±y` on S³. The particles
+//! go in order with a running best score; each one queries the table's
+//! [`crate::s3index`] at the closing window's floor below that best
+//! (`UnitaryTable::scan_window`), and only the first needs a seed query
+//! to find a best at all.
 //!
 //! # Why the outputs equal the complex reference's
 //!
 //! The forms equal `quad(E, vec4(advance(V, M)))` and `|close(V, M)|²` to
-//! rounding, not bit for bit. Bond states and returned traces are still
-//! computed with [`advance`] and [`close`], so they are bitwise the
-//! reference's. A weight's rounding can move a draw only if the uniform
-//! variate lands within ~1e-14 (relative) of a prefix-sum boundary; the
-//! golden corpus in `tests/`, recorded from the per-entry reference, pins
-//! that this does not happen on its targets. The argmax closing cannot
-//! drift at all: every candidate scoring within `1e-9·max(1, best)` of the
-//! best is re-scored exactly and the winner is picked by the reference's
-//! tie rule — the last maximal index within a particle, the first particle
-//! across particles.
+//! rounding, not bit for bit, and a block's weight from its moments equals
+//! the sum of its entries' weights to rounding. Bond states and returned
+//! traces are still computed with [`advance`] and [`close`], so they are
+//! bitwise the reference's, and the RNG is consumed exactly as the
+//! reference consumes it. A weight's rounding can move a draw only if the
+//! uniform variate lands within ~1e-13 (relative) of a running-sum
+//! boundary; the golden corpus in `tests/`, recorded from the per-entry
+//! reference, pins that this does not happen on its targets. The argmax
+//! closing cannot drift at all. The running floor never exceeds the final
+//! one, so the queries see every candidate scoring within
+//! `1e-9·max(1, best)` of the best; each is re-scored exactly, and the
+//! winner is picked by the reference's tie rule over the candidates in
+//! the reference's order — the last maximal index within a particle, the
+//! first particle across particles.
 
-use crate::enumerate::TableEntry;
-use crate::mps::{advance, close, ClosingForm, Planes, SiteForm, TraceMps};
+use crate::enumerate::{TableEntry, UnitaryTable, BLOCK};
+use crate::mps::{
+    advance, close, in_window, window_floor, ClosingForm, Planes, SiteForm, TraceMps,
+};
+use prof::WorkKind;
 use qmath::{Complex64, Mat2};
 use rand::Rng;
-
-/// Width of the argmax closing's exact re-scoring window, relative to
-/// `max(1, best)`: far wider than the forms' ~1e-15 rounding, so the
-/// reference's maximum always falls inside, and narrow enough to hold
-/// only exact ties and near-ties.
-const CLOSING_WINDOW: f64 = 1e-9;
 
 /// One complete sample: the per-site table indices and the exact trace
 /// inner product `Tr(U†·∏M)` it carries.
@@ -96,43 +108,15 @@ impl Particles {
     }
 }
 
-/// Buffers reused by every particle at every site of one call.
-#[derive(Default)]
-struct Scratch {
-    /// One particle's running weight sums over a site.
-    prefix: Vec<f64>,
-    /// One particle's drawn indices.
-    drawn: Vec<usize>,
-}
-
-impl Scratch {
-    /// Scores every entry of a site and leaves the running sums of the
-    /// (non-negative parts of the) scores in `prefix`.
-    fn fill(&mut self, [x0, x1, x2, x3]: Planes<'_>, score: impl Fn([f64; 4]) -> f64) {
-        // An indexed loop over equal-length slices vectorizes; a zipped
-        // `extend` measured 2.3× slower.
-        let n = x0.len();
-        self.prefix.resize(n, 0.0);
-        let (x1, x2, x3, out) = (&x1[..n], &x2[..n], &x3[..n], &mut self.prefix[..n]);
-        for s in 0..n {
-            out[s] = score([x0[s], x1[s], x2[s], x3[s]]);
-        }
-        let mut total = 0.0f64;
-        for w in &mut self.prefix {
-            total += w.max(0.0);
-            *w = total;
-        }
-    }
-}
-
 /// Propagates `k` draws through every site but the last and returns the
 /// particles entering the last site (for a one-site chain, the root).
+/// `drawn` is the draws' scratch buffer.
 fn propagate<R: Rng + ?Sized>(
     mps: &TraceMps<'_>,
     target: &Mat2,
     k: usize,
     rng: &mut R,
-    scratch: &mut Scratch,
+    drawn: &mut Vec<usize>,
 ) -> Particles {
     let mut particles = Particles {
         states: vec![target.adjoint().transpose()],
@@ -142,6 +126,7 @@ fn propagate<R: Rng + ?Sized>(
     let mut next = Particles::default();
     for i in 0..mps.len() - 1 {
         let site = mps.sites[i];
+        let (planes, moments) = (mps.planes(i), mps.table.block_moments(site.len()));
         next.states.clear();
         next.counts.clear();
         next.indices.clear();
@@ -149,14 +134,16 @@ fn propagate<R: Rng + ?Sized>(
         for p in 0..particles.len() {
             let state = particles.states[p];
             let form = SiteForm::new(&mps.env[i + 1], &state);
-            scratch.fill(mps.planes[i], |x| form.weight(x));
-            let draws = multinomial(
-                &scratch.prefix,
+            draw_weighted(
+                planes,
+                moments,
+                form.coefficients(),
+                |x| form.weight(x),
                 particles.counts[p],
                 rng,
-                &mut scratch.drawn,
+                drawn,
             );
-            for (s, count) in draws {
+            for (s, count) in runs(drawn) {
                 next.states.push(advance(&state, &site[s].matrix));
                 next.counts.push(count);
                 next.indices.extend_from_slice(particles.prefix(p));
@@ -191,26 +178,30 @@ pub fn sample_sequences<R: Rng + ?Sized>(
     rng: &mut R,
 ) -> Vec<SampleOutcome> {
     assert!(k > 0, "need at least one sample");
-    let mut scratch = Scratch::default();
-    let particles = propagate(mps, target, k, rng, &mut scratch);
+    let mut drawn = Vec::new();
+    let particles = propagate(mps, target, k, rng, &mut drawn);
     let l = mps.len();
     let last = mps.sites[l - 1];
+    let (planes, moments) = (mps.planes(l - 1), mps.table.block_moments(last.len()));
     let mut out = Vec::new();
     for p in 0..particles.len() {
         let state = &particles.states[p];
         let form = ClosingForm::new(state);
-        scratch.fill(mps.planes[l - 1], |x| form.score(x));
-        let draws = multinomial(
-            &scratch.prefix,
+        draw_weighted(
+            planes,
+            moments,
+            &form.coefficients(),
+            |x| form.score(x),
             particles.counts[p],
             rng,
-            &mut scratch.drawn,
+            &mut drawn,
         );
-        for (s, count) in draws {
+        for (s, count) in runs(&drawn) {
             let trace = closing_trace(mps, target, state, &last[s].matrix);
             out.push(particles.outcome(p, s, trace, count));
         }
     }
+    prof::work::add(WorkKind::SampleDraws, (k * l) as u64);
     out
 }
 
@@ -230,133 +221,156 @@ pub fn sample_best<R: Rng + ?Sized>(
     rng: &mut R,
 ) -> SampleOutcome {
     let l = mps.len();
-    let mut scratch = Scratch::default();
-    let particles = propagate(mps, target, k, rng, &mut scratch);
-    let (p, s, trace) = argmax_closing(
+    let particles = propagate(mps, target, k, rng, &mut Vec::new());
+    let ((p, s, trace), scored) = argmax_closing(
+        mps.table,
         &particles.states,
         mps.sites[l - 1],
-        mps.planes[l - 1],
         |state, m| closing_trace(mps, target, state, m),
     );
+    prof::work::add(WorkKind::SampleDraws, (k * (l - 1)) as u64);
+    prof::work::add(WorkKind::ClosingScores, scored);
     // A one-site chain is an exhaustive scan: no draws precede it.
     let multiplicity = if l == 1 { 1 } else { particles.counts[p] };
     particles.outcome(p, s, trace, multiplicity)
 }
 
-/// The argmax closing over `states × last`: returns the particle, the
-/// last-site index and the exact trace maximizing `|trace|`.
+/// The argmax closing over `states × last` (`last` a prefix of `table`):
+/// returns the particle, the last-site index and the exact trace
+/// maximizing `|trace|`, plus the number of closing scores evaluated.
 ///
-/// Every entry is scored with each particle's [`ClosingForm`]; every
-/// candidate within `CLOSING_WINDOW·max(1, best)` of the best score is
-/// then re-scored with `trace` (the exact closing), and the winner is the
+/// Each particle's [`UnitaryTable::scan_window`] collects the entries
+/// that can reach the closing window; every candidate within
+/// the window of the final best is then re-scored with `trace` (the exact
+/// closing) in particle-then-index order, and the winner is the
 /// reference's: the last maximal index within a particle, the first
 /// maximal particle across particles.
 fn argmax_closing(
+    table: &UnitaryTable,
     states: &[Mat2],
     last: &[TableEntry],
-    planes: Planes<'_>,
     trace: impl Fn(&Mat2, &Mat2) -> Complex64,
-) -> (usize, usize, Complex64) {
-    let [x0, x1, x2, x3] = planes;
-    let forms: Vec<ClosingForm> = states.iter().map(ClosingForm::new).collect();
-    let maxima: Vec<f64> = forms.iter().map(|form| max_score(form, planes)).collect();
-    let best = maxima.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-    let floor = best - CLOSING_WINDOW * best.max(1.0);
+) -> ((usize, usize, Complex64), u64) {
+    let mut best = f64::NEG_INFINITY;
+    let mut window = Vec::new();
+    let mut scored = 0;
+    for (p, state) in states.iter().enumerate() {
+        let form = ClosingForm::new(state);
+        scored += table.scan_window(&form, last.len(), &mut best, |s, v| window.push((p, s, v)));
+    }
+    let floor = window_floor(best);
+    window.retain(|&(_, _, v)| in_window(v, floor));
+    window.sort_unstable_by_key(|&(p, s, _)| (p, s));
     let mut winner: Option<(usize, usize, Complex64)> = None;
-    for (p, form) in forms.iter().enumerate() {
-        if maxima[p] < floor {
-            continue;
-        }
-        for (s, entry) in last.iter().enumerate() {
-            if form.score([x0[s], x1[s], x2[s], x3[s]]) < floor {
-                continue;
-            }
-            let f = trace(&states[p], &entry.matrix);
-            let take = winner.is_none_or(|(wp, _, wf)| {
-                let (v, w) = (f.norm_sqr(), wf.norm_sqr());
-                v > w || (v == w && p == wp)
-            });
-            if take {
-                winner = Some((p, s, f));
-            }
+    for &(p, s, _) in &window {
+        let f = trace(&states[p], &last[s].matrix);
+        let take = winner.is_none_or(|(wp, _, wf)| {
+            let (v, w) = (f.norm_sqr(), wf.norm_sqr());
+            v > w || (v == w && p == wp)
+        });
+        if take {
+            winner = Some((p, s, f));
         }
     }
-    winner.expect("at least one particle")
+    (winner.expect("at least one particle"), scored)
 }
 
-/// The largest [`ClosingForm::score`] over a site, scanned in independent
-/// lanes so it vectorizes (1.4× faster than a `fold` here).
-fn max_score(form: &ClosingForm, [x0, x1, x2, x3]: Planes<'_>) -> f64 {
-    const LANES: usize = 8;
-    let mut lanes = [f64::NEG_INFINITY; LANES];
-    let chunks = x0
-        .chunks_exact(LANES)
-        .zip(x1.chunks_exact(LANES))
-        .zip(x2.chunks_exact(LANES))
-        .zip(x3.chunks_exact(LANES));
-    for (((a, b), c), d) in chunks {
-        for j in 0..LANES {
-            let v = form.score([a[j], b[j], c[j], d[j]]);
-            lanes[j] = if v > lanes[j] { v } else { lanes[j] };
-        }
-    }
-    let tail =
-        (x0.len() / LANES * LANES..x0.len()).map(|s| form.score([x0[s], x1[s], x2[s], x3[s]]));
-    lanes
-        .into_iter()
-        .chain(tail)
-        .fold(f64::NEG_INFINITY, f64::max)
-}
-
-/// Draws `count` multinomial samples by inverse CDF against the running
-/// sums `prefix` of non-negative weights, returning `(index, times_drawn)`
-/// pairs for indices drawn at least once, sorted by index
-/// (`O(count·log n)`). Zero or non-finite totals fall back to uniform
-/// draws.
-///
-/// Indices are drawn in RNG order into `drawn`, then sorted and
-/// run-length encoded, so on both branches the pairs — and hence particle
-/// order and every later draw — depend on nothing but the seed.
-fn multinomial<'d, R: Rng + ?Sized>(
-    prefix: &[f64],
+/// Draws `count` entries of a site with probability ∝ `weight`, as
+/// [`multinomial`] over the entries' running weight sums would, without
+/// computing those sums: `coefficients` (the weight as a quadratic form,
+/// see [`crate::mps::monomials`]) dotted with the table's block moments
+/// give the running sum at every block boundary, a binary search finds
+/// the block a variate falls in, and a scan of the block's entries with
+/// `weight`, clamped at 0 like the running sums, finds the entry.
+fn draw_weighted<R: Rng + ?Sized>(
+    planes: Planes<'_>,
+    moments: &[[f64; 10]],
+    coefficients: &[f64; 10],
+    weight: impl Fn([f64; 4]) -> f64,
     count: usize,
     rng: &mut R,
-    drawn: &'d mut Vec<usize>,
-) -> impl Iterator<Item = (usize, usize)> + 'd {
-    let n = prefix.len();
-    let total = prefix.last().copied().unwrap_or(0.0);
+    drawn: &mut Vec<usize>,
+) {
+    let n = planes[0].len();
+    let blocks = moments.len() - 1;
+    let below = |m: &[f64; 10]| coefficients.iter().zip(m).map(|(c, m)| c * m).sum::<f64>();
+    multinomial(n, below(&moments[blocks]), count, rng, drawn, |x| {
+        let b = moments[1..blocks].partition_point(|m| below(m) <= x);
+        let mut running = below(&moments[b]);
+        for s in b * BLOCK..n {
+            running += weight(planes.map(|plane| plane[s])).max(0.0);
+            if running > x {
+                return s;
+            }
+        }
+        n - 1
+    });
+}
+
+/// Draws `count` multinomial samples over `n` indices whose non-negative
+/// weights sum to `total` into `drawn`, sorted by index: each uniform
+/// variate in `[0, total)` goes to `locate`, which returns the index whose
+/// running sum first exceeds it. Zero or non-finite totals fall back to
+/// uniform draws.
+///
+/// Indices are drawn in RNG order, then sorted, so on both branches the
+/// [`runs`] — and hence particle order and every later draw — depend on
+/// nothing but the seed.
+fn multinomial<R: Rng + ?Sized>(
+    n: usize,
+    total: f64,
+    count: usize,
+    rng: &mut R,
+    drawn: &mut Vec<usize>,
+    locate: impl Fn(f64) -> usize,
+) {
     drawn.clear();
     if !total.is_finite() || total <= 0.0 {
         drawn.extend((0..count).map(|_| rng.gen_range(0..n)));
     } else {
-        drawn.extend((0..count).map(|_| {
-            let x = rng.gen_range(0.0..total);
-            prefix.partition_point(|&p| p <= x).min(n - 1)
-        }));
+        drawn.extend((0..count).map(|_| locate(rng.gen_range(0.0..total))));
     }
     drawn.sort_unstable();
+}
+
+/// `(index, times_drawn)` pairs of sorted draws, by index.
+fn runs(drawn: &[usize]) -> impl Iterator<Item = (usize, usize)> + '_ {
     drawn.chunk_by(|a, b| a == b).map(|run| (run[0], run.len()))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::enumerate::UnitaryTable;
+    use crate::enumerate::{table6, UnitaryTable};
     use proptest::prelude::*;
     use qmath::distance::unitary_distance;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
-    fn draws(weights: &[f64], count: usize, seed: u64) -> Vec<(usize, usize)> {
-        let prefix: Vec<f64> = weights
-            .iter()
+    /// The reference draw: a binary search over every entry's running sum.
+    fn prefix_draws(prefix: &[f64], count: usize, rng: &mut StdRng, drawn: &mut Vec<usize>) {
+        let n = prefix.len();
+        let total = prefix.last().copied().unwrap_or(0.0);
+        multinomial(n, total, count, rng, drawn, |x| {
+            prefix.partition_point(|&p| p <= x).min(n - 1)
+        });
+    }
+
+    fn running_sums(weights: impl Iterator<Item = f64>) -> Vec<f64> {
+        weights
             .scan(0.0, |total, w| {
-                *total += w;
+                *total += w.max(0.0);
                 Some(*total)
             })
-            .collect();
+            .collect()
+    }
+
+    fn draws(weights: &[f64], count: usize, seed: u64) -> Vec<(usize, usize)> {
+        let prefix = running_sums(weights.iter().copied());
         let mut rng = StdRng::seed_from_u64(seed);
-        multinomial(&prefix, count, &mut rng, &mut Vec::new()).collect()
+        let mut drawn = Vec::new();
+        prefix_draws(&prefix, count, &mut rng, &mut drawn);
+        runs(&drawn).collect()
     }
 
     #[test]
@@ -486,15 +500,77 @@ mod tests {
         best.unwrap()
     }
 
+    /// The closing over `table.up_to_t(budget)` against the reference.
     fn assert_same_argmax(
         states: &[Mat2],
         table: &UnitaryTable,
+        budget: usize,
     ) -> Result<(), prop::TestCaseError> {
-        let got = argmax_closing(states, table.entries(), table.planes_up_to_t(3), close);
-        let want = reference_argmax(states, table.entries());
+        let last = table.up_to_t(budget);
+        let (got, scored) = argmax_closing(table, states, last, close);
+        let want = reference_argmax(states, last);
         prop_assert_eq!((got.0, got.1), (want.0, want.1));
         prop_assert_eq!(got.2.re.to_bits(), want.2.re.to_bits());
         prop_assert_eq!(got.2.im.to_bits(), want.2.im.to_bits());
+        prop_assert!(scored > 0);
+        Ok(())
+    }
+
+    /// Bond states one exact entry away from an exactly representable
+    /// target (a word over H, S, T, T†), every state twice: the maximum
+    /// always ties across particles, and often within one.
+    fn tie_heavy_states(word: &[usize], picks: &[usize], table: &UnitaryTable) -> Vec<Mat2> {
+        let gates = [Mat2::h(), Mat2::s(), Mat2::t(), Mat2::t().adjoint()];
+        let target = word.iter().fold(Mat2::identity(), |m, &g| m * gates[g]);
+        let root = target.adjoint().transpose();
+        let mut states: Vec<Mat2> = picks
+            .iter()
+            .map(|&a| advance(&root, &table.entries()[a % table.len()].matrix))
+            .collect();
+        states.extend_from_within(..);
+        states
+    }
+
+    /// A Hermitian positive semi-definite environment that is not a
+    /// multiple of the identity: `Σ vec(U)·vec(U)†` over three unitaries.
+    fn lopsided_environment(us: &[Mat2]) -> crate::mps::Env4 {
+        let mut e = [[Complex64::ZERO; 4]; 4];
+        for u in us {
+            for (row, up) in e.iter_mut().zip(u.e) {
+                for (cell, uq) in row.iter_mut().zip(u.e) {
+                    *cell += up * uq.conj();
+                }
+            }
+        }
+        e
+    }
+
+    /// Block-moment draws against running-sum draws of the same per-entry
+    /// weights: equal draws, and the RNG left at the same word.
+    fn assert_same_draws(
+        n: usize,
+        coefficients: &[f64; 10],
+        weight: impl Fn([f64; 4]) -> f64,
+        count: usize,
+        seed: u64,
+    ) -> Result<(), prop::TestCaseError> {
+        let table = table6();
+        let planes = table.planes(n);
+        let prefix = running_sums((0..n).map(|s| weight(planes.map(|plane| plane[s]))));
+        let (mut a, mut b) = (StdRng::seed_from_u64(seed), StdRng::seed_from_u64(seed));
+        let (mut got, mut want) = (Vec::new(), Vec::new());
+        draw_weighted(
+            planes,
+            table.block_moments(n),
+            coefficients,
+            &weight,
+            count,
+            &mut a,
+            &mut got,
+        );
+        prefix_draws(&prefix, count, &mut b, &mut want);
+        prop_assert_eq!(got, want);
+        prop_assert_eq!(a.gen::<u64>(), b.gen::<u64>());
         Ok(())
     }
 
@@ -518,29 +594,56 @@ mod tests {
             states in prop::collection::vec(unitary(), 1..12),
         ) {
             let table = UnitaryTable::build(3);
-            assert_same_argmax(&states, &table)?;
+            assert_same_argmax(&states, &table, 3)?;
         }
 
-        /// Identity (b) where ties abound: bond states one exact entry
-        /// away from an exactly representable target, repeated across
-        /// particles, so many (particle, entry) pairs tie at the maximum
-        /// and below it.
+        /// Identity (b) where ties abound: many (particle, entry) pairs
+        /// tie at the maximum and below it.
         #[test]
         fn closing_window_keeps_tie_rule_on_exact_targets(
             word in prop::collection::vec(0usize..4, 0..16),
             picks in prop::collection::vec(0usize..528, 1..12),
         ) {
             let table = UnitaryTable::build(3);
-            let gates = [Mat2::h(), Mat2::s(), Mat2::t(), Mat2::t().adjoint()];
-            let target = word.iter().fold(Mat2::identity(), |m, &g| m * gates[g]);
-            let root = target.adjoint().transpose();
-            let mut states: Vec<Mat2> = picks
-                .iter()
-                .map(|&a| advance(&root, &table.entries()[a].matrix))
-                .collect();
-            // Every state twice: the maximum always ties across particles.
-            states.extend_from_within(..);
-            assert_same_argmax(&states, &table)?;
+            assert_same_argmax(&tie_heavy_states(&word, &picks, &table), &table, 3)?;
+        }
+
+        /// The indexed closing on the shipped table, over the whole table
+        /// and over a prefix slice (where the index also holds entries
+        /// the closing must skip), for generic and tie-heavy states.
+        #[test]
+        fn indexed_closing_matches_reference_at_max_t_6(
+            states in prop::collection::vec(unitary(), 1..24),
+            word in prop::collection::vec(0usize..4, 0..24),
+            picks in prop::collection::vec(0usize..4560, 1..12),
+            budget in 2usize..7,
+        ) {
+            let table = table6();
+            assert_same_argmax(&states, table, 6)?;
+            assert_same_argmax(&states, table, budget)?;
+            let ties = tie_heavy_states(&word, &picks, table);
+            assert_same_argmax(&ties, table, 6)?;
+            assert_same_argmax(&ties, table, budget)?;
+        }
+
+        /// Block-moment draws against running-sum draws on a middle
+        /// site's form (the shipped closed-form environment and a
+        /// lopsided one) and on a closing form, at several slice sizes.
+        #[test]
+        fn block_draws_match_running_sum_draws(
+            v in unitary(),
+            others in prop::collection::vec(unitary(), 3),
+            budget in 0usize..7,
+            seed in 0u64..1 << 32,
+        ) {
+            let n = table6().up_to_t(budget).len();
+            let mps = TraceMps::new(table6(), &[budget, budget]);
+            for env in [mps.env[1], lopsided_environment(&others)] {
+                let form = SiteForm::new(&env, &v);
+                assert_same_draws(n, form.coefficients(), |x| form.weight(x), 300, seed)?;
+            }
+            let closing = ClosingForm::new(&v);
+            assert_same_draws(n, &closing.coefficients(), |x| closing.score(x), 300, seed)?;
         }
     }
 }

@@ -68,8 +68,9 @@ impl Synthesized {
 ///
 /// Building the table is a one-time cost per process (paper: "one-time
 /// cost as the FT gate set is fixed"); synthesis calls are then fast.
-/// Every multi-tensor pass builds its MPS environments
-/// ([`TraceMps::new`]) afresh; none are cached between calls.
+/// Every multi-tensor pass builds its [`TraceMps`] afresh, which costs
+/// nothing worth caching: its environments are closed-form scaled
+/// identities.
 pub struct Trasyn {
     table: UnitaryTable,
 }

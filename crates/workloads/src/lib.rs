@@ -5,7 +5,7 @@
 //! Hamiltonians, classical Hamiltonians, and FT algorithms. Those suites
 //! are external data artifacts; this crate regenerates the same *circuit
 //! structure* — rotation counts, axis mixes, and mergeability — from
-//! parametrized generators (see DESIGN.md "Substitutions"):
+//! parametrized generators, a substitution for the external suites:
 //!
 //! * [`qaoa`] — MaxCut QAOA on random 3-regular graphs with the
 //!   merge-friendly gate ordering of §3.4;
