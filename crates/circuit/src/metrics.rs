@@ -88,20 +88,6 @@ pub fn count_resources(c: &Circuit) -> ResourceCounts {
     }
 }
 
-/// Per-qubit discrete-gate sequence lengths (useful for T-depth sanity
-/// checks in tests).
-pub fn per_qubit_t(c: &Circuit) -> Vec<usize> {
-    let mut v = vec![0usize; c.n_qubits()];
-    for i in c.instrs() {
-        if let Op::Gate1(g) = i.op {
-            if g.is_t_like() {
-                v[i.q0] += 1;
-            }
-        }
-    }
-    v
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

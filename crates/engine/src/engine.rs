@@ -653,14 +653,12 @@ impl Engine {
             let work_d = prof::work::snapshot().since(&work0);
             let alloc_d = prof::alloc::delta_since(&alloc0);
             if let Some(sp) = sp.as_mut() {
-                sp.attr(
-                    "grid_candidates",
-                    work_d.get(prof::WorkKind::GridCandidates),
-                );
-                sp.attr(
-                    "exact_syntheses",
-                    work_d.get(prof::WorkKind::ExactSyntheses),
-                );
+                for kind in prof::WorkKind::ALL {
+                    let n = work_d.get(kind);
+                    if n > 0 {
+                        sp.attr(kind.label(), n);
+                    }
+                }
                 if alloc_d.allocs > 0 {
                     sp.attr("allocs", alloc_d.allocs);
                     sp.attr("alloc_bytes", alloc_d.bytes);

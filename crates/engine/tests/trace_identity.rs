@@ -4,8 +4,8 @@
 //! nest (children inside parents, own time consistent, the expected
 //! phase spans present).
 
-use engine::{BackendKind, BatchItem, BatchRequest, Engine, GridsynthBackend};
-use trace::{SpanNode, TraceConfig, Tracer};
+use engine::{BackendKind, BatchItem, BatchRequest, Engine, GridsynthBackend, TrasynBackend};
+use trace::{AttrValue, SpanNode, TraceConfig, Tracer};
 
 fn engine_with(threads: usize) -> Engine {
     Engine::builder()
@@ -144,4 +144,70 @@ fn span_tree_nests_with_all_phases_at_every_thread_count() {
             );
         }
     }
+}
+
+/// Every per-job `synthesize` span under `node`.
+fn synthesize_spans<'t>(node: &'t SpanNode, out: &mut Vec<&'t SpanNode>) {
+    if node.name == "synthesize" {
+        out.push(node);
+    }
+    for c in &node.children {
+        synthesize_spans(c, out);
+    }
+}
+
+fn attr<'t>(node: &'t SpanNode, key: &str) -> Option<&'t AttrValue> {
+    node.attrs.iter().find(|(k, _)| *k == key).map(|(_, v)| v)
+}
+
+#[test]
+fn synthesize_spans_carry_their_backends_work() {
+    // Each job's span carries every work counter its synthesis moved:
+    // trasyn's draws, closing scores and peephole lookups, gridsynth's
+    // grid candidates.
+    let engine = Engine::builder()
+        .threads(2)
+        .cache_capacity(1 << 12)
+        .backend(GridsynthBackend::default())
+        .backend(TrasynBackend::with_table(3, 64))
+        .build();
+    let item = |name, seed, backend| {
+        let circuit = workloads::qaoa::random_qaoa(4, 1, seed);
+        BatchItem::new(name, circuit, 1e-2, backend)
+    };
+    let req = BatchRequest::new()
+        .item(item("trasyn", 0xD15C, BackendKind::Trasyn))
+        .item(item("gridsynth", 0xFACE, BackendKind::Gridsynth));
+    let tracer = capture_everything();
+    let ctx = tracer.begin("request").unwrap();
+    let root = ctx.root();
+    engine.compile_batch_traced(&req, Some(&root)).unwrap();
+    tracer.finish(ctx);
+    let tree = tracer.recent().first().expect("trace retained").tree();
+
+    let mut spans = Vec::new();
+    synthesize_spans(&tree, &mut spans);
+    let mut seen = Vec::new();
+    for span in spans {
+        let Some(AttrValue::Str(backend)) = attr(span, "backend") else {
+            panic!("synthesize span without a backend: {:?}", span.attrs);
+        };
+        let want: &[&str] = match backend.as_str() {
+            "trasyn" => &["sample_draws", "closing_scores", "peephole_lookups"],
+            "gridsynth" => &["grid_candidates"],
+            other => panic!("unexpected backend {other}"),
+        };
+        for key in want {
+            assert!(
+                matches!(attr(span, key), Some(AttrValue::U64(n)) if *n > 0),
+                "{backend} synthesize span lacks {key}: {:?}",
+                span.attrs
+            );
+        }
+        seen.push(backend.as_str());
+    }
+    assert!(
+        seen.contains(&"trasyn") && seen.contains(&"gridsynth"),
+        "synthesize spans seen: {seen:?}"
+    );
 }

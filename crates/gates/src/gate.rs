@@ -99,21 +99,6 @@ impl Gate {
             Gate::Z => "Z",
         }
     }
-
-    /// Parses a one-letter mnemonic (as produced by [`Gate::symbol`]).
-    pub fn from_symbol(s: &str) -> Option<Gate> {
-        Some(match s {
-            "H" => Gate::H,
-            "S" => Gate::S,
-            "s" => Gate::Sdg,
-            "T" => Gate::T,
-            "t" => Gate::Tdg,
-            "X" => Gate::X,
-            "Y" => Gate::Y,
-            "Z" => Gate::Z,
-            _ => return None,
-        })
-    }
 }
 
 impl fmt::Display for Gate {
@@ -150,13 +135,5 @@ mod tests {
         assert!(!Gate::S.is_t_like());
         assert!(Gate::X.is_pauli() && !Gate::H.is_pauli());
         assert!(Gate::H.is_clifford() && !Gate::T.is_clifford());
-    }
-
-    #[test]
-    fn symbol_roundtrip() {
-        for g in Gate::ALL {
-            assert_eq!(Gate::from_symbol(g.symbol()), Some(g));
-        }
-        assert_eq!(Gate::from_symbol("Q"), None);
     }
 }

@@ -103,11 +103,6 @@ impl GateSeq {
             .count()
     }
 
-    /// Number of Pauli gates.
-    pub fn pauli_count(&self) -> usize {
-        self.gates.iter().filter(|g| g.is_pauli()).count()
-    }
-
     /// The inverse sequence (reversed order, each gate inverted).
     pub fn inverse(&self) -> GateSeq {
         GateSeq {
@@ -287,7 +282,6 @@ mod tests {
         ]);
         assert_eq!(s.t_count(), 2);
         assert_eq!(s.clifford_count(), 3); // H, S, Sdg
-        assert_eq!(s.pauli_count(), 2);
         assert_eq!(s.h_count(), 1);
         assert_eq!(s.s_count(), 2);
     }

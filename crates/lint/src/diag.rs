@@ -103,15 +103,6 @@ pub fn diagnostics_json(diags: &[Diagnostic]) -> String {
     format!("[{}]", items.join(", "))
 }
 
-/// Counts `(errors, warnings)` in a slice of diagnostics.
-pub fn tally(diags: &[Diagnostic]) -> (usize, usize) {
-    let errors = diags
-        .iter()
-        .filter(|d| d.severity == Severity::Error)
-        .count();
-    (errors, diags.len() - errors)
-}
-
 /// JSON string literal with the minimal required escapes, shared with
 /// the `trasyn-lint` binary. Kept local so `lint` stays a leaf crate
 /// under `circuit` (the engine's writer lives above us in the dependency
@@ -176,15 +167,5 @@ mod tests {
     fn escape_handles_specials() {
         assert_eq!(escape("a\"b\\c\nd"), "\"a\\\"b\\\\c\\nd\"");
         assert_eq!(escape("\u{1}"), "\"\\u0001\"");
-    }
-
-    #[test]
-    fn tally_splits_by_severity() {
-        let ds = vec![
-            Diagnostic::error("L0101", None, String::new()),
-            Diagnostic::warning("L0104", None, String::new()),
-            Diagnostic::warning("L0105", None, String::new()),
-        ];
-        assert_eq!(tally(&ds), (1, 2));
     }
 }

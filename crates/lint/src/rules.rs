@@ -152,14 +152,6 @@ pub enum Expectation {
 }
 
 impl Expectation {
-    /// The [`Expectation`] implied by a lowering basis.
-    pub fn for_basis(basis: Basis) -> Expectation {
-        match basis {
-            Basis::Rz => Expectation::RzBasis,
-            Basis::U3 => Expectation::U3Basis,
-        }
-    }
-
     /// Stable label used by `trasyn-lint --expect`.
     pub fn label(self) -> &'static str {
         match self {

@@ -73,14 +73,6 @@ pub fn operator_norm_distance(u: &Mat2, v: &Mat2) -> f64 {
     (*u - v.scale(phase)).operator_norm()
 }
 
-/// Distance of `V` from the closest global-phase multiple of the identity.
-///
-/// Useful for testing whether a gate sequence implements the identity.
-#[inline]
-pub fn distance_to_identity(v: &Mat2) -> f64 {
-    unitary_distance(&Mat2::identity(), v)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -164,11 +156,5 @@ mod tests {
     fn maximal_distance_for_orthogonal_unitaries() {
         // Tr(Z† X) = 0 ⇒ D = 1.
         assert!((unitary_distance(&Mat2::z(), &Mat2::x()) - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn identity_distance() {
-        assert!(distance_to_identity(&Mat2::identity()) < 1e-12);
-        assert!(distance_to_identity(&Mat2::x()) > 0.99);
     }
 }

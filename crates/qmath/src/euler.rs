@@ -109,18 +109,18 @@ pub fn u3_to_three_rz(theta: f64, phi: f64, lambda: f64) -> (f64, f64, f64) {
     )
 }
 
-/// Reconstructs the unitary from three-Rz angles:
-/// `Rz(β₁)·H·Rz(β₂)·H·Rz(β₃)`.
-pub fn three_rz_to_matrix(b1: f64, b2: f64, b3: f64) -> Mat2 {
-    Mat2::rz(b1) * Mat2::h() * Mat2::rz(b2) * Mat2::h() * Mat2::rz(b3)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::haar::haar_mat2;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    /// Reconstructs the unitary from three-Rz angles:
+    /// `Rz(β₁)·H·Rz(β₂)·H·Rz(β₃)`.
+    fn three_rz_to_matrix(b1: f64, b2: f64, b3: f64) -> Mat2 {
+        Mat2::rz(b1) * Mat2::h() * Mat2::rz(b2) * Mat2::h() * Mat2::rz(b3)
+    }
 
     #[test]
     fn roundtrip_random_unitaries() {

@@ -87,12 +87,6 @@ impl CMatrix {
         &self.data
     }
 
-    /// Mutable raw row-major data slice.
-    #[inline]
-    pub fn data_mut(&mut self) -> &mut [Complex64] {
-        &mut self.data
-    }
-
     /// Conjugate transpose.
     pub fn adjoint(&self) -> CMatrix {
         CMatrix::from_fn(self.cols, self.rows, |r, c| self[(c, r)].conj())

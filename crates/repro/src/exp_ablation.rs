@@ -5,7 +5,10 @@
 //!    with probability ∝ |trace|²; the ablation replaces this with
 //!    uniform index choices and compares the best error found per sample
 //!    budget (Figure 1(b): "error-aware sampling … delivering efficiency
-//!    and accuracy").
+//!    and accuracy"). Every site's table is Clifford-closed, so the
+//!    error-aware side's internal draws are uniform too (`trasyn::mps`):
+//!    it is uniform internal draws plus a last site weighted by |trace|²,
+//!    and the comparison measures that last site.
 //! 2. **Step-3 peephole contribution** — T/Clifford counts with and
 //!    without the equivalence-table replacement.
 //! 3. **Tensor-count scaling** — error vs number of tensors at a fixed

@@ -130,14 +130,6 @@ impl DOmega {
         self.num.to_complex().scale(scale)
     }
 
-    /// Squared modulus `z†z` as a dyadic real, returned as
-    /// `(numerator ∈ Z[√2] via ZOmega, exponent)` pair — i.e.
-    /// `|self|² = num / 2^exp` with `num ∈ Z[√2]`.
-    pub fn norm_sqr_dyadic(self) -> (crate::ZRoot2, u32) {
-        let n = self.num.norm_zroot2();
-        (n, self.k) // |z/√2^k|² = (z†z)/2^k
-    }
-
     /// Multiplication by `ω^j`.
     pub fn mul_omega_pow(self, j: i32) -> Self {
         DOmega {
@@ -236,13 +228,5 @@ mod tests {
         let z = ZOmega::sqrt2() * ZOmega::sqrt2() * ZOmega::sqrt2();
         let x = DOmega::new(z, 3);
         assert_eq!(x, DOmega::ONE);
-    }
-
-    #[test]
-    fn norm_sqr_dyadic_matches() {
-        let x = DOmega::new(ZOmega::new(3, -1, 2, 5), 3);
-        let (n, e) = x.norm_sqr_dyadic();
-        let num = n.to_f64() / 2f64.powi(e as i32);
-        assert!((num - x.to_complex().norm_sqr()).abs() < 1e-9);
     }
 }

@@ -67,12 +67,6 @@ impl ZOmega {
         ZOmega::new(0, 1, 0, -1)
     }
 
-    /// `i√2 = ω + ω³`.
-    #[inline]
-    pub const fn i_sqrt2() -> Self {
-        ZOmega::new(0, 1, 0, 1)
-    }
-
     /// Embeds a `Z[√2]` element (`a + b√2 = a + b(ω − ω³)`).
     #[inline]
     pub const fn from_zroot2(x: ZRoot2) -> Self {
@@ -204,24 +198,6 @@ impl ZOmega {
             None
         }
     }
-
-    /// Evaluates the ring homomorphism `Z[ω] → Z/p` sending `ω ↦ x`
-    /// (requires `x⁴ ≡ −1 mod p`). Used for prime splitting.
-    pub fn eval_mod(self, x: u128, p: u128) -> u128 {
-        use crate::numtheory::{mulmod, powmod};
-        let x2 = mulmod(x, x, p);
-        let x3 = mulmod(x2, x, p);
-        let _ = powmod(x, 4, p); // (debug aid; hom requires x⁴ = −1)
-        let term = |c: i128, xp: u128| -> u128 {
-            let cm = c.rem_euclid(p as i128) as u128;
-            mulmod(cm, xp, p)
-        };
-        let mut acc = term(self.a0, 1);
-        acc = (acc + term(self.a1, x)) % p;
-        acc = (acc + term(self.a2, x2)) % p;
-        acc = (acc + term(self.a3, x3)) % p;
-        acc
-    }
 }
 
 /// Rounds `a / b` to nearest (ties toward +∞), exactly.
@@ -315,10 +291,9 @@ mod tests {
     #[test]
     fn sqrt2_squares_to_two() {
         assert_eq!(ZOmega::sqrt2() * ZOmega::sqrt2(), ZOmega::from_int(2));
-        assert_eq!(
-            ZOmega::i_sqrt2() * ZOmega::i_sqrt2(),
-            ZOmega::from_int(-2)
-        );
+        // i√2 = ω + ω³.
+        let i_sqrt2 = ZOmega::new(0, 1, 0, 1);
+        assert_eq!(i_sqrt2 * i_sqrt2, ZOmega::from_int(-2));
     }
 
     #[test]
@@ -415,17 +390,5 @@ mod tests {
             ZOmega::from_zroot2(x * y),
             ZOmega::from_zroot2(x) * ZOmega::from_zroot2(y)
         );
-    }
-
-    #[test]
-    fn eval_mod_is_homomorphism() {
-        use crate::numtheory::{mulmod, root8};
-        let p = 97u128; // 97 = 1 mod 8
-        let x = root8(p).unwrap();
-        let a = z(3, -1, 2, 5);
-        let b = z(-2, 4, 1, -3);
-        let lhs = (a * b).eval_mod(x, p);
-        let rhs = mulmod(a.eval_mod(x, p), b.eval_mod(x, p), p);
-        assert_eq!(lhs, rhs);
     }
 }

@@ -6,7 +6,7 @@
 //! operations here, which makes the RQ2 process-fidelity sweep exact
 //! rather than sampled.
 
-use qmath::{Complex64, Mat2};
+use qmath::Mat2;
 
 /// A single-qubit Pauli transfer matrix.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -88,18 +88,10 @@ pub fn pauli_basis() -> [Mat2; 4] {
     [Mat2::identity(), Mat2::x(), Mat2::y(), Mat2::z()]
 }
 
-/// Trajectory-equivalent fault probability of [`Ptm::depolarizing`]:
-/// a uniform X/Y/Z fault occurs with probability `3λ/4`.
-pub fn depolarizing_fault_probability(lambda: f64) -> f64 {
-    0.75 * lambda
-}
-
-#[allow(dead_code)]
-fn unused(_: Complex64) {}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use qmath::Complex64;
 
     #[test]
     fn identity_channel_is_identity_matrix() {

@@ -8,8 +8,7 @@
 //!   synthesized sequence with depolarizing noise *exactly* (the RQ2
 //!   synthesis-vs-logical-error tradeoff, Figure 9);
 //! * [`density`] — exact density-matrix evolution with noise for circuits
-//!   up to ~10 qubits, and [`trajectory`] Monte-Carlo sampling beyond
-//!   (Figure 13).
+//!   up to ~10 qubits (Figure 13).
 //!
 //! # Noise convention
 //!
@@ -23,7 +22,6 @@ pub mod density;
 pub mod fidelity;
 pub mod noise;
 pub mod statevector;
-pub mod trajectory;
 
 pub use channel::Ptm;
 pub use density::DensityMatrix;

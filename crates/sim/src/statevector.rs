@@ -246,27 +246,6 @@ impl State {
     pub fn norm_sqr(&self) -> f64 {
         self.amps.iter().map(|a| a.norm_sqr()).sum()
     }
-
-    /// Samples `shots` computational-basis measurement outcomes.
-    pub fn sample_counts<R: rand::Rng + ?Sized>(
-        &self,
-        shots: usize,
-        rng: &mut R,
-    ) -> std::collections::HashMap<usize, usize> {
-        let mut prefix = Vec::with_capacity(self.amps.len());
-        let mut total = 0.0;
-        for a in &self.amps {
-            total += a.norm_sqr();
-            prefix.push(total);
-        }
-        let mut counts = std::collections::HashMap::new();
-        for _ in 0..shots {
-            let x = rng.gen_range(0.0..total);
-            let idx = prefix.partition_point(|&p| p <= x).min(self.amps.len() - 1);
-            *counts.entry(idx).or_insert(0usize) += 1;
-        }
-        counts
-    }
 }
 
 #[cfg(test)]
@@ -327,18 +306,6 @@ mod tests {
         let mut s = State::zero(3);
         s.apply_circuit(&c);
         assert!((s.norm_sqr() - 1.0).abs() < 1e-10);
-    }
-
-    #[test]
-    fn measurement_sampling_matches_probabilities() {
-        use rand::rngs::StdRng;
-        use rand::SeedableRng;
-        let mut s = State::zero(1);
-        s.apply_1q(0, &Mat2::ry(1.0)); // p(1) = sin²(0.5) ≈ 0.2298
-        let mut rng = StdRng::seed_from_u64(3);
-        let counts = s.sample_counts(20_000, &mut rng);
-        let p1 = *counts.get(&1).unwrap_or(&0) as f64 / 20_000.0;
-        assert!((p1 - 0.5f64.sin().powi(2)).abs() < 0.02, "p1 = {p1}");
     }
 
     #[test]

@@ -108,8 +108,6 @@ pub struct Tracer {
     /// xorshift64 state behind the sampling decisions.
     rng: Mutex<u64>,
     ring: Mutex<VecDeque<Arc<FinishedTrace>>>,
-    started: AtomicU64,
-    retained: AtomicU64,
     slow: AtomicU64,
 }
 
@@ -121,8 +119,6 @@ impl Tracer {
             rng: Mutex::new(cfg.seed | 1),
             next_id: AtomicU64::new(1),
             ring: Mutex::new(VecDeque::new()),
-            started: AtomicU64::new(0),
-            retained: AtomicU64::new(0),
             slow: AtomicU64::new(0),
             cfg,
         }
@@ -154,7 +150,6 @@ impl Tracer {
         if !self.cfg.enabled {
             return None;
         }
-        self.started.fetch_add(1, Ordering::Relaxed);
         let sampled = match self.cfg.sample_every {
             0 => false,
             1 => true,
@@ -229,7 +224,6 @@ impl Tracer {
             started_unix_ms,
             records,
         });
-        self.retained.fetch_add(1, Ordering::Relaxed);
         let mut ring = self.ring.lock().expect("trace ring poisoned");
         if ring.len() >= self.cfg.ring.max(1) {
             ring.pop_front();
@@ -247,16 +241,6 @@ impl Tracer {
             .rev()
             .cloned()
             .collect()
-    }
-
-    /// Traces started over the tracer's lifetime.
-    pub fn started_total(&self) -> u64 {
-        self.started.load(Ordering::Relaxed)
-    }
-
-    /// Traces retained in (possibly since evicted from) the ring.
-    pub fn retained_total(&self) -> u64 {
-        self.retained.load(Ordering::Relaxed)
     }
 
     /// Traces that crossed the slow threshold.
@@ -280,7 +264,6 @@ mod tests {
     fn disabled_tracer_records_nothing() {
         let t = Tracer::disabled();
         assert!(t.begin("x").is_none());
-        assert_eq!(t.started_total(), 0);
         assert!(t.recent().is_empty());
     }
 
@@ -298,7 +281,6 @@ mod tests {
         assert_eq!(recent.len(), 3);
         assert_eq!(recent[0].name, "req-2", "newest first");
         assert_eq!(recent[2].name, "req-0");
-        assert_eq!(t.retained_total(), 3);
         assert_eq!(t.slow_total(), 0);
     }
 
@@ -310,13 +292,13 @@ mod tests {
             ..TraceConfig::default()
         });
         for i in 0..10 {
-            finish_trivial(&t, &format!("req-{i}")).unwrap();
+            let s = finish_trivial(&t, &format!("req-{i}")).unwrap();
+            assert!(s.retained, "every sampled trace enters the ring");
         }
         let recent = t.recent();
         assert_eq!(recent.len(), 4, "ring capacity bounds retention");
         let names: Vec<&str> = recent.iter().map(|r| r.name.as_str()).collect();
         assert_eq!(names, ["req-9", "req-8", "req-7", "req-6"]);
-        assert_eq!(t.retained_total(), 10, "evicted traces still counted");
     }
 
     #[test]
@@ -377,7 +359,6 @@ mod tests {
         let s = finish_trivial(&t, "fast").unwrap();
         assert!(!s.slow && !s.retained);
         assert!(t.recent().is_empty());
-        assert_eq!(t.started_total(), 1);
     }
 
     #[test]

@@ -7,10 +7,15 @@
 //! over `Z[ω, 1/√2]`, immune to floating-point ties. For duplicates we
 //! keep the cheaper sequence (fewest T, then S, then H — paper §3.3).
 //!
+//! Every `up_to_t` slice is closed under multiplication by Cliffords on
+//! either side, which is what makes the sampler's draws before the last
+//! site uniform ([`crate::mps`]).
+//!
 //! The finished table answers every query through its quaternions: an
 //! [`S3Index`] over them (nearest entries, lookups of exact matrices) and
 //! running sums of their quadratic monomials at every `BLOCK`-th entry
-//! (block weights for the sampler's draws). Entries are far apart —
+//! (block scores for `sample_sequences`' weighted closing draw). Entries
+//! are far apart —
 //! at least 2.3e-2 in unitary distance at `max_t` 6 — so a float product
 //! of a few dozen gates (error ≲ 1e-14) identifies its entry by a radius
 //! 1e-9 query, and [`UnitaryTable::lookup`] confirms it exactly.
@@ -468,6 +473,34 @@ mod tests {
                     }
                 }
             }
+        }
+    }
+
+    #[test]
+    fn every_slice_is_closed_under_cliffords() {
+        // What makes every marginal before the last site uniform (see
+        // `mps`): each `up_to_t(b)` slice of the shipped table is closed
+        // under left and right multiplication by the 24 Cliffords. Level
+        // `b`'s entries are checked against budget `b`, so each slice is
+        // checked whole.
+        let table = table6();
+        let mut level_start = 0;
+        for b in 0..=table.max_t() {
+            let slice = table.up_to_t(b);
+            for e in &slice[level_start..] {
+                for c in clifford_elements() {
+                    for product in [c.matrix * e.exact, e.exact * c.matrix] {
+                        let found = table.lookup(&product);
+                        assert!(
+                            found.is_some_and(|f| f.t_count <= b),
+                            "{} and {} multiply out of up_to_t({b})",
+                            c.seq,
+                            e.seq
+                        );
+                    }
+                }
+            }
+            level_start = slice.len();
         }
     }
 

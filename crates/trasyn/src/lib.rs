@@ -15,30 +15,28 @@
 //!   quadratic monomials; no step scans the table per particle.
 //! * **Step 1** ([`mps`]): chain the per-tensor matrix tables into a
 //!   matrix product state whose full contraction holds the trace value
-//!   `Tr(U†·M₁[s₁]⋯M_l[s_l])` of every candidate sequence. We contract
-//!   the target into the first site and use *right environment* matrices
-//!   `E_i = Σ_rest r·r†` — an exactly equivalent, allocation-free form of
-//!   the paper's canonicalized MPS (the environments are what the
-//!   canonical form makes implicitly equal to the identity). Every site's
-//!   table is closed under Cliffords, a unitary 2-design, so the
-//!   environments are scaled identities in closed form, and a middle
-//!   site's marginals are uniform.
+//!   `Tr(U†·M₁[s₁]⋯M_l[s_l])` of every candidate sequence, with the target
+//!   contracted into the first site. The paper canonicalizes the MPS so
+//!   that its right environments are the identity; here every site's
+//!   table is closed under Cliffords, a unitary 2-design, so the right
+//!   environments are scaled identities already and the MPS is just its
+//!   sites.
 //! * **Step 2** ([`sample`]): perfect sampling of gate-sequence indices
 //!   from the joint distribution `p ∝ |trace|²`, k sequences per pass,
-//!   each sample carrying its trace value for free. Each particle folds
-//!   its bond state and the site's environment into one 4×4 real
-//!   symmetric form `R` over the entries' quaternions `x`, so an entry's
-//!   weight is `xᵀRx` and a block of entries' weight is `R`'s 10
-//!   coefficients dotted with the block's summed monomials: a draw is a
-//!   binary search over blocks and a scan of at most 8 entries. Bond
-//!   states are built only for drawn children. The argmax closing's score
-//!   is `4(y·x)²` for the particle's direction `y`, so it queries the S³
-//!   index around each particle at the closing window below the running
-//!   best, then re-scores every near-tie exactly under the reference tie
-//!   rule: the chosen sequence and its trace are exactly the per-entry
-//!   reference's. Draws could differ only if a uniform variate fell
-//!   within rounding (~1e-13) of a running-sum boundary, which a golden
-//!   corpus pins.
+//!   each sample carrying its trace value for free. With identity
+//!   environments, every marginal before the last site is exactly
+//!   uniform, so a prefix draw is one uniform variate per sample and bond
+//!   states are built only for drawn children. Only the last site is
+//!   error-aware. The argmax closing's score is `4(y·x)²` for the
+//!   particle's direction `y` and an entry's quaternion `x`, so it
+//!   queries the S³ index around each particle at the closing window
+//!   below the running best, then re-scores every near-tie exactly under
+//!   the reference tie rule: the chosen sequence and its trace are
+//!   exactly the per-entry reference's. A weighted closing draw is a
+//!   binary search over the table's block moments and a scan of at most
+//!   8 entries. Draws could differ from the reference's only if a
+//!   uniform variate fell within rounding (~1e-13) of a running-sum
+//!   boundary, which a golden corpus pins.
 //! * **Step 3** ([`peephole`]): replace suboptimal subsequences of the
 //!   concatenation with shorter equivalents, each window's product looked
 //!   up in the step-0 table through the index and every replacement

@@ -1,5 +1,5 @@
-//! Step 1: the trace-value MPS, its right environments, and the SU(2)
-//! forms the sampler scores table entries with.
+//! Step 1: the trace-value MPS, and the SU(2) form the sampler scores
+//! closing entries with.
 //!
 //! For sequence choices `s₁..s_l` over per-site tables `Mᵢ[sᵢ]`, the trace
 //! tensor is `f(s₁..s_l) = Tr(U†·M₁[s₁]⋯M_l[s_l])`. Absorbing `U†` into
@@ -14,99 +14,64 @@
 //! * every site but the last: `V ← Mᵢ[sᵢ]ᵀ · V` ([`advance`]);
 //! * last site: `f = Σ_{a,z} V_{a,z} · M_l[s_l]_{a,z}` ([`close`]).
 //!
-//! Perfect sampling needs marginals `Σ_rest |f|²`, which are quadratic
-//! forms `vec(V)† Ē vec(V)` ([`quad`]) in the bond state with *right
-//! environment* matrices `E_i = Σ_{sᵢ..s_l} r·r†`. This is exactly what
-//! the paper's canonical form encodes (a right-canonical MPS makes `E` the
-//! identity); keeping `E` explicit avoids re-canonicalizing per target and
-//! keeps everything in fixed-size arrays.
+//! # Marginals are uniform before the last site
 //!
-//! # Environments in closed form
-//!
-//! Every site draws from a slice `up_to_t(b)`, which is closed under
-//! multiplication by Cliffords, and the Clifford group is a unitary
-//! 2-design. So each slice averages like Haar measure to second order:
-//! `Σ_s vec(M_s)·vec(M_s)† = (n/2)·I` over `n` entries, and the map
+//! Perfect sampling needs the marginals `Σ_rest |f|²`. They are quadratic
+//! forms `vec(V)†·E·vec(V)` in the bond state, with *right environment*
+//! matrices `E_i = Σ_{sᵢ₊₁..s_l} r·r†` (what the paper's canonical form
+//! makes the identity). Every site draws from a slice `up_to_t(b)`, which
+//! is closed under multiplication by Cliffords, and the Clifford group is
+//! a unitary 2-design. So each slice averages like Haar measure to second
+//! order: `Σ_s vec(M_s)·vec(M_s)† = (n/2)·I` over `n` entries, and the map
 //! `vec(V) ↦ vec(MᵀV)` is unitary. The environments are therefore scaled
-//! identities, `E_last = (n_last/2)·I` and `E_i = n_{i+1}·E_{i+1}`, and
-//! [`TraceMps::new`] writes them down instead of summing over the table.
-//! One consequence: a middle site's marginal `c·‖MᵀV‖² = c·‖V‖²` is the
-//! same for every entry, so internal draws are uniform. The sampler keeps
-//! the weighted draw (the paper's algorithm, and what `repro ablation`
-//! measures); the fact is what makes uniform internal draws a candidate.
+//! identities, `E_last = (n_last/2)·I` and `E_i = n_{i+1}·E_{i+1}`, and a
+//! site's marginal `c·‖MᵀV‖² = c·‖V‖²` is the same for every entry of
+//! every site but the last. The sampler draws those sites uniformly
+//! ([`crate::sample`]); only the last site's score depends on the entry,
+//! so the MPS stores no environments at all. The tests keep the direct
+//! sums over the table as references.
 //!
 //! # SU(2) coordinates
 //!
-//! `advance`, `quad` and `close` are the reference definitions; the sampler
-//! evaluates the same quantities in real coordinates. Every table matrix is
-//! a unit quaternion `x` up to phase (`quaternion`):
+//! `advance` and `close` are the reference definitions; the sampler scores
+//! closing entries in real coordinates. Every table matrix is a unit
+//! quaternion `x` up to phase (`quaternion`):
 //! `M = e^{iφ}·Σₖ xₖ·Bₖ` with `B = {I, diag(i,−i), [[0,1],[−1,0]],
-//! [[0,i],[i,0]]}`. Both scores are invariant under the phase and quadratic
-//! in `x`, so per bond state they collapse to small real forms built once
-//! per particle instead of once per entry:
+//! [[0,i],[i,0]]}`. The closing score is invariant under the phase and
+//! quadratic in `x`, so per bond state it collapses to a small real form
+//! built once per particle instead of once per entry: `ClosingForm`,
+//! `|close(V, M)|² = (Re a·x)² + (Im a·x)²` with
+//! `a = (V₀+V₃, i(V₀−V₃), V₁−V₂, i(V₁+V₂))`, two real dot products.
 //!
-//! * `SiteForm`: `quad(E, vec4(advance(V, M))) = xᵀRx` with the 4×4 real
-//!   symmetric `R_kl = Re Σ_pq E_pq·u_k,p·conj(u_l,q)`, `u_k = vec(Bₖᵀ·V)`
-//!   — 14 multiplies and 9 adds per entry instead of 280 flops;
-//! * `ClosingForm`: `|close(V, M)|² = (Re a·x)² + (Im a·x)²` with
-//!   `a = (V₀+V₃, i(V₀−V₃), V₁−V₂, i(V₁+V₂))` — two real dot products.
-//!
-//! Both are quadratic forms in `x`, so they are also 10 coefficients
+//! The score is a quadratic form in `x`, so it is also 10 coefficients
 //! against the 10 monomials `xᵢxⱼ` (`monomials`): dotted with a table
-//! block's summed monomials, they give the block's total weight without
-//! touching its entries. For a unitary bond state, `a = 2·e^{iψ}·y` with
-//! `y` a real unit quaternion, so the closing score is `4(y·x)²` and its
-//! maximum is a nearest-neighbour query on S³ up to sign
-//! ([`crate::s3index`]); `ClosingForm::radius` turns a score threshold
-//! into a query radius.
+//! block's summed monomials, they give the block's total score without
+//! touching its entries, which is how `sample_sequences` draws its last
+//! site. For a unitary bond state, `a = 2·e^{iψ}·y` with `y` a real unit
+//! quaternion, so the closing score is `4(y·x)²` and its maximum is a
+//! nearest-neighbour query on S³ up to sign ([`crate::s3index`]);
+//! `ClosingForm::radius` turns a score threshold into a query radius.
 //!
-//! The forms agree with the references to rounding (~1e-15 relative), not
+//! The form agrees with the reference to rounding (~1e-15 relative), not
 //! bit for bit; see [`crate::sample`] for why the sampler's outputs are
 //! nevertheless unchanged.
 
 use crate::enumerate::{TableEntry, UnitaryTable};
 use qmath::{Complex64, Mat2};
 
-/// A 4×4 Hermitian environment matrix over the vectorized bond `(a, z)`
-/// with index `p = 2a + z`.
-pub type Env4 = [[Complex64; 4]; 4];
-
 /// Unit quaternions of a run of table entries as four coordinate planes
 /// (structure of arrays): entry `s` is `[x[0][s], x[1][s], x[2][s], x[3][s]]`.
 pub(crate) type Planes<'t> = [&'t [f64]; 4];
 
 /// The site structure of a trace MPS: which table slice each site draws
-/// from, plus the per-site right environments.
+/// from. Its environments are scaled identities (module docs), so there is
+/// nothing else to store.
 pub struct TraceMps<'t> {
     /// Per-site matrix tables (slices of the step-0 table).
     pub sites: Vec<&'t [TableEntry]>,
     /// The table the slices come from: its quaternion planes, block
     /// moments and S³ index are what the sampler reads.
     pub(crate) table: &'t UnitaryTable,
-    /// `env[i]` = right environment of everything *after* site `i`
-    /// (so `env[l-1]` is unused during weight evaluation of the last site;
-    /// by convention it is the closing environment).
-    pub env: Vec<Env4>,
-}
-
-/// Vectorizes a bond state `V` (2×2) into index order `p = 2a + z`.
-#[inline]
-pub fn vec4(v: &Mat2) -> [Complex64; 4] {
-    // V_{a,z} with a = row, z = col: p = 2a + z matches row-major `e`.
-    v.e
-}
-
-/// The quadratic form `Σ_{p,q} E_{pq}·v_p·conj(v_q)` — a real, non-negative
-/// marginal weight.
-#[inline]
-pub fn quad(e: &Env4, v: &[Complex64; 4]) -> f64 {
-    let mut acc = Complex64::ZERO;
-    for p in 0..4 {
-        for q in 0..4 {
-            acc += e[p][q] * v[p] * v[q].conj();
-        }
-    }
-    acc.re.max(0.0)
 }
 
 /// Bond-state update: `V ← Mᵀ·V`.
@@ -158,84 +123,9 @@ fn times_minus_i(z: Complex64) -> Complex64 {
     Complex64::new(z.im, -z.re)
 }
 
-/// A particle's sampled-site weights as a real quadratic form in the
-/// entries' quaternions: [`SiteForm::weight`]`(x)` is
-/// `quad(E, vec4(advance(V, M)))` for the entry `M` with quaternion `x`.
-pub(crate) struct SiteForm {
-    /// `R`'s upper triangle, row by row, off-diagonal terms doubled:
-    /// `[R₀₀, 2R₀₁, 2R₀₂, 2R₀₃, R₁₁, 2R₁₂, 2R₁₃, R₂₂, 2R₂₃, R₃₃]`.
-    c: [f64; 10],
-}
-
-impl SiteForm {
-    /// Builds `R_kl = Re Σ_pq E_pq·u_k,p·conj(u_l,q)` with
-    /// `u_k = vec(Bₖᵀ·V)` from bond state `v` and right environment `e`.
-    pub fn new(e: &Env4, v: &Mat2) -> Self {
-        let [v0, v1, v2, v3] = v.e;
-        let u = [
-            [v0, v1, v2, v3],
-            [
-                times_i(v0),
-                times_i(v1),
-                times_minus_i(v2),
-                times_minus_i(v3),
-            ],
-            [-v2, -v3, v0, v1],
-            [times_i(v2), times_i(v3), times_i(v0), times_i(v1)],
-        ];
-        let mut r = [[0.0f64; 4]; 4];
-        for l in 0..4 {
-            // E·conj(u_l), then its dot products with u_k for k ≤ l.
-            let mut eu = [Complex64::ZERO; 4];
-            for (p, row) in e.iter().enumerate() {
-                for (q, &epq) in row.iter().enumerate() {
-                    eu[p] += epq * u[l][q].conj();
-                }
-            }
-            for k in 0..=l {
-                let mut acc = Complex64::ZERO;
-                for p in 0..4 {
-                    acc += u[k][p] * eu[p];
-                }
-                r[k][l] = acc.re;
-            }
-        }
-        SiteForm {
-            c: [
-                r[0][0],
-                2.0 * r[0][1],
-                2.0 * r[0][2],
-                2.0 * r[0][3],
-                r[1][1],
-                2.0 * r[1][2],
-                2.0 * r[1][3],
-                r[2][2],
-                2.0 * r[2][3],
-                r[3][3],
-            ],
-        }
-    }
-
-    /// `xᵀRx`, clamped at 0 like [`quad`]: 14 multiplies and 9 adds.
-    #[inline]
-    pub fn weight(&self, [x0, x1, x2, x3]: [f64; 4]) -> f64 {
-        let c = &self.c;
-        let w = x0 * (c[0] * x0 + c[1] * x1 + c[2] * x2 + c[3] * x3)
-            + x1 * (c[4] * x1 + c[5] * x2 + c[6] * x3)
-            + x2 * (c[7] * x2 + c[8] * x3)
-            + x3 * (c[9] * x3);
-        w.max(0.0)
-    }
-
-    /// The form against [`monomials`]: `weight(x) = c·monomials(x)`
-    /// before clamping.
-    pub fn coefficients(&self) -> &[f64; 10] {
-        &self.c
-    }
-}
-
-/// The 10 quadratic monomials of `x` in the order the forms' coefficients
-/// use: `[x₀², x₀x₁, x₀x₂, x₀x₃, x₁², x₁x₂, x₁x₃, x₂², x₂x₃, x₃²]`.
+/// The 10 quadratic monomials of `x` in the order
+/// [`ClosingForm::coefficients`] uses:
+/// `[x₀², x₀x₁, x₀x₂, x₀x₃, x₁², x₁x₂, x₁x₃, x₂², x₂x₃, x₃²]`.
 pub(crate) fn monomials([x0, x1, x2, x3]: [f64; 4]) -> [f64; 10] {
     [
         x0 * x0,
@@ -252,7 +142,7 @@ pub(crate) fn monomials([x0, x1, x2, x3]: [f64; 4]) -> [f64; 10] {
 }
 
 /// Width of the argmax closing's exact re-scoring window, relative to
-/// `max(1, best)`: far wider than the forms' ~1e-15 rounding, so the
+/// `max(1, best)`: far wider than the form's ~1e-15 rounding, so the
 /// reference's maximum always falls inside, and narrow enough to hold
 /// only exact ties and near-ties.
 const CLOSING_WINDOW: f64 = 1e-9;
@@ -271,7 +161,7 @@ pub(crate) fn in_window(score: f64, floor: f64) -> bool {
 }
 
 /// Rounding slack of [`ClosingForm::radius`], in units of `|ŷ·x|` and of
-/// chordal distance: far above the ~1e-15 error of the forms and the
+/// chordal distance: far above the ~1e-15 error of the form and the
 /// quaternions, far below any gap the radius separates.
 const RADIUS_SLACK: f64 = 1e-9;
 
@@ -372,9 +262,8 @@ impl<'t> TraceMps<'t> {
     /// Panics if `budgets` is empty.
     pub fn new(table: &'t UnitaryTable, budgets: &[usize]) -> Self {
         assert!(!budgets.is_empty(), "at least one tensor required");
-        let sites: Vec<&[TableEntry]> = budgets.iter().map(|&b| table.up_to_t(b)).collect();
-        let env = environments(&sites);
-        TraceMps { sites, table, env }
+        let sites = budgets.iter().map(|&b| table.up_to_t(b)).collect();
+        TraceMps { sites, table }
     }
 
     /// Number of sites.
@@ -387,90 +276,64 @@ impl<'t> TraceMps<'t> {
         self.sites.is_empty()
     }
 
-    /// Maximum total T count representable by this site structure.
-    pub fn t_capacity(&self) -> usize {
-        self.sites
-            .iter()
-            .map(|s| s.iter().map(|e| e.t_count).max().unwrap_or(0))
-            .sum()
-    }
-
     /// Site `i`'s entries as quaternion planes.
     pub(crate) fn planes(&self, i: usize) -> Planes<'t> {
         self.table.planes(self.sites[i].len())
     }
 }
 
-/// Right environments in closed form (module docs): `E_last = (n_last/2)·I`
-/// for the closing vectors, and `E_i = n_{i+1}·E_{i+1}` leftwards.
-fn environments(sites: &[&[TableEntry]]) -> Vec<Env4> {
-    let scaled_identity = |c: f64| {
-        let mut e = [[Complex64::ZERO; 4]; 4];
-        for (p, row) in e.iter_mut().enumerate() {
-            row[p] = Complex64::new(c, 0.0);
-        }
-        e
-    };
-    let l = sites.len();
-    let mut c = sites[l - 1].len() as f64 / 2.0;
-    let mut env = vec![scaled_identity(c); l];
-    for i in (0..l - 1).rev() {
-        c *= sites[i + 1].len() as f64;
-        env[i] = scaled_identity(c);
-    }
-    env
-}
-
+/// The complex references the sampler is checked against: marginals as
+/// quadratic forms in the vectorized bond state, with right environments
+/// summed over the table.
 #[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::enumerate::UnitaryTable;
-    use proptest::prelude::*;
-    use qmath::distance::trace_value;
+pub(crate) mod reference {
+    use crate::enumerate::TableEntry;
+    use qmath::{Complex64, Mat2};
 
-    fn table() -> UnitaryTable {
-        UnitaryTable::build(2)
+    /// Vectorizes a bond state `V` (2×2) into index order `p = 2a + z`,
+    /// which is `Mat2`'s row-major order.
+    pub fn vec4(v: &Mat2) -> [Complex64; 4] {
+        v.e
     }
 
-    /// Right environments, from the last site leftwards.
+    /// The quadratic form `Σ_{p,q} E_{pq}·v_p·conj(v_q)`: a real,
+    /// non-negative marginal weight.
+    pub fn quad(e: &[[Complex64; 4]; 4], v: &[Complex64; 4]) -> f64 {
+        let mut acc = Complex64::ZERO;
+        for p in 0..4 {
+            for q in 0..4 {
+                acc += e[p][q] * v[p] * v[q].conj();
+            }
+        }
+        acc.re.max(0.0)
+    }
+
+    /// Right environments by direct summation: `env[i]` is the 4×4
+    /// Hermitian matrix over the vectorized bond with
+    /// `quad(env[i], vec4(V)) = Σ_{sᵢ..s_l} |f|²` for a bond state `V`
+    /// entering site `i`, so drawing entry `M` at site `i` weighs
+    /// `quad(env[i+1], vec4(advance(V, M)))`.
     ///
-    /// `E_last = Σ_s vec(M[s])·vec(M[s])†` (closing vectors), and for middle
-    /// sites `E_i = Σ_s K[s]† E_{i+1} K[s]` where `K[s]` is the linear action
-    /// `vec(V) ↦ vec(M[s]ᵀV)` — derived from `r_new = K[s]ᵀ r`, giving
-    /// `E_i = Σ K[s]ᵀ E_{i+1} conj(K[s])` which in components is the loop
-    /// below.
-    fn compute_environments(sites: &[&[TableEntry]]) -> Vec<Env4> {
+    /// The last site's is `Σ_s vec(M[s])·vec(M[s])†` (the closing vectors).
+    /// Leftwards, `V ↦ MᵀV` pulls each vector `r` of `env[i+1]` back to
+    /// `r'_{(a,z)} = Σ_{a'} M_{a,a'}·r_{(a',z)}`, so
+    /// `env[i][(a₁,z₁)][(a₂,z₂)] = Σ_s Σ_{a₁',a₂'} M_{a₁,a₁'}·conj(M_{a₂,a₂'})
+    /// · env[i+1][(a₁',z₁)][(a₂',z₂)]` over site `i`'s entries.
+    pub fn compute_environments(sites: &[&[TableEntry]]) -> Vec<[[Complex64; 4]; 4]> {
         let l = sites.len();
         let mut env = vec![[[Complex64::ZERO; 4]; 4]; l];
-        // Closing environment for the last site.
-        let mut e_last = [[Complex64::ZERO; 4]; 4];
         for entry in sites[l - 1] {
             let r = vec4(&entry.matrix);
             for p in 0..4 {
                 for q in 0..4 {
-                    e_last[p][q] += r[p] * r[q].conj();
+                    env[l - 1][p][q] += r[p] * r[q].conj();
                 }
             }
         }
-        env[l - 1] = e_last;
-        // Middle sites, right to left: new r = K[s]ᵀ r with
-        // (K[s]ᵀ r)_{(a,z)} = Σ_{a'} M_{a,a'} r_{(a',z)}.
         for i in (0..l - 1).rev() {
-            let mut e = [[Complex64::ZERO; 4]; 4];
-            let e_next = env[i + 1];
-            for entry in sites[i + 1] {
-                let m = &entry.matrix;
-                // E_i += Aᵀ where A_{(p),(q)} = Σ M terms; implement directly:
-                // E_i[(a1,z1)][(a2,z2)] += Σ_{a1',a2'} M_{a1',a1}... careful:
-                // r_new_{(a,z)} = Σ_{a'} M_{a',a}? Derive: V' = MᵀV means
-                // V'_{a,z} = Σ_{a'} M_{a',a} V_{a',z}; f is linear in V with
-                // r_new such that Σ_p V_p r_new_p = Σ_{p'} V'_{p'} r_{p'}:
-                // Σ_{a,z} V_{a,z} r_new_{(a,z)} = Σ_{a',z} V'_{a',z} r_{(a',z)}
-                //   = Σ_{a',z} Σ_a M_{a,a'} V_{a,z} r_{(a',z)}
-                // ⇒ r_new_{(a,z)} = Σ_{a'} M_{a,a'} r_{(a',z)}.
-                // Then E_i = Σ_s r_new r_new† accumulated over E_{i+1}:
-                // E_i[(a1,z1)][(a2,z2)] += Σ_{a1',a2'} M_{a1,a1'} conj(M_{a2,a2'})
-                //                          · E_{i+1}[(a1',z1)][(a2',z2)].
+            let next = env[i + 1];
+            for entry in sites[i] {
+                let m = &entry.matrix.e;
                 for a1 in 0..2 {
                     for z1 in 0..2 {
                         for a2 in 0..2 {
@@ -478,20 +341,32 @@ mod tests {
                                 let mut acc = Complex64::ZERO;
                                 for a1p in 0..2 {
                                     for a2p in 0..2 {
-                                        acc += m.e[a1 * 2 + a1p]
-                                            * m.e[a2 * 2 + a2p].conj()
-                                            * e_next[a1p * 2 + z1][a2p * 2 + z2];
+                                        acc += m[a1 * 2 + a1p]
+                                            * m[a2 * 2 + a2p].conj()
+                                            * next[a1p * 2 + z1][a2p * 2 + z2];
                                     }
                                 }
-                                e[a1 * 2 + z1][a2 * 2 + z2] += acc;
+                                env[i][a1 * 2 + z1][a2 * 2 + z2] += acc;
                             }
                         }
                     }
                 }
             }
-            env[i] = e;
         }
         env
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::reference::{compute_environments, quad, vec4};
+    use super::*;
+    use crate::enumerate::{table6, UnitaryTable};
+    use proptest::prelude::*;
+    use qmath::distance::trace_value;
+
+    fn table() -> UnitaryTable {
+        UnitaryTable::build(2)
     }
 
     /// `conj(U)`: the bond state before site 1.
@@ -537,10 +412,11 @@ mod tests {
         // Σ_{s2} |f(s1, s2)|² computed via env must equal brute force.
         let t = table();
         let mps = TraceMps::new(&t, &[1, 1]);
+        let env = compute_environments(&mps.sites);
         let u = Mat2::u3(0.4, 1.0, -0.3);
         let s1 = 7usize; // arbitrary
         let v = advance(&root(&u), &mps.sites[0][s1].matrix);
-        let marginal = quad(&mps.env[1], &vec4(&v));
+        let marginal = quad(&env[1], &vec4(&v));
         let mut brute = 0.0f64;
         for e2 in mps.sites[1] {
             let f = close(&v, &e2.matrix);
@@ -556,11 +432,12 @@ mod tests {
     fn quad_matches_brute_force_three_sites() {
         let t = UnitaryTable::build(1);
         let mps = TraceMps::new(&t, &[1, 1, 1]);
+        let env = compute_environments(&mps.sites);
         let u = Mat2::u3(1.4, -1.0, 0.3);
         let s1 = 11usize;
         let v1 = advance(&root(&u), &mps.sites[0][s1].matrix);
         // Marginal over (s2, s3) via env[1].
-        let marginal = quad(&mps.env[1], &vec4(&v1));
+        let marginal = quad(&env[1], &vec4(&v1));
         let mut brute = 0.0f64;
         for e2 in mps.sites[1] {
             let v2 = advance(&v1, &e2.matrix);
@@ -594,50 +471,27 @@ mod tests {
     }
 
     #[test]
-    fn t_capacity_sums_budgets() {
-        let t = table();
-        let mps = TraceMps::new(&t, &[2, 1, 2]);
-        assert_eq!(mps.t_capacity(), 5);
-        assert_eq!(mps.len(), 3);
-    }
-
-    #[test]
     fn closed_form_environments_match_the_sums() {
-        // The 2-design argument against the direct sums over the table.
-        let t = UnitaryTable::build(6);
+        // The 2-design argument (module docs) against the direct sums over
+        // the table: `E_last = (n_last/2)·I` and `E_i = n_i·E_{i+1}`, so a
+        // site's marginal is the same for every entry but the last site's.
         for budgets in [vec![6, 6, 6], vec![2, 3, 4], vec![0, 5], vec![6]] {
-            let mps = TraceMps::new(&t, &budgets);
-            let reference = compute_environments(&mps.sites);
-            for (got, want) in mps.env.iter().zip(&reference) {
-                let scale = want[0][0].re;
-                for p in 0..4 {
-                    for q in 0..4 {
-                        let diff = (got[p][q] - want[p][q]).abs();
+            let mps = TraceMps::new(table6(), &budgets);
+            let sums = compute_environments(&mps.sites);
+            let l = budgets.len();
+            let mut scale = mps.sites[l - 1].len() as f64 / 2.0;
+            for (i, sum) in sums.iter().enumerate().rev() {
+                if i < l - 1 {
+                    scale *= mps.sites[i].len() as f64;
+                }
+                for (p, row) in sum.iter().enumerate() {
+                    for (q, got) in row.iter().enumerate() {
+                        let want = if p == q { scale } else { 0.0 };
                         assert!(
-                            diff <= 1e-12 * scale,
-                            "budgets {budgets:?}: E[{p}][{q}] {} vs {}",
-                            got[p][q],
-                            want[p][q]
+                            (*got - Complex64::new(want, 0.0)).abs() <= 1e-12 * scale,
+                            "budgets {budgets:?}: E{i}[{p}][{q}] {got} vs {want}"
                         );
                     }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn environments_are_hermitian_psd_diagonal() {
-        let t = table();
-        let mps = TraceMps::new(&t, &[1, 2]);
-        for e in &mps.env {
-            for (p, row) in e.iter().enumerate() {
-                assert!(row[p].im.abs() < 1e-9, "diagonal must be real");
-                assert!(row[p].re >= -1e-9, "diagonal must be non-negative");
-                for (q, cell) in row.iter().enumerate() {
-                    assert!(
-                        cell.approx_eq(e[q][p].conj(), 1e-9),
-                        "environment not Hermitian"
-                    );
                 }
             }
         }
@@ -655,33 +509,6 @@ mod tests {
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(24))]
-
-        /// Identity (a): `xᵀRx = quad(E, vec4(advance(V, M)))` for every
-        /// entry of a max_t 3 table, against a middle environment and the
-        /// closing one, within 1e-12 of the site's total weight.
-        #[test]
-        fn site_form_matches_quad_of_advance(v in unitary()) {
-            let t = UnitaryTable::build(3);
-            let mps = TraceMps::new(&t, &[3, 3, 3]);
-            let planes = t.planes(t.len());
-            for e in &mps.env[1..] {
-                let form = SiteForm::new(e, &v);
-                let reference: Vec<f64> = t
-                    .entries()
-                    .iter()
-                    .map(|m| quad(e, &vec4(&advance(&v, &m.matrix))))
-                    .collect();
-                let total: f64 = reference.iter().sum();
-                for (s, want) in reference.iter().enumerate() {
-                    let x = planes.map(|plane| plane[s]);
-                    let got = form.weight(x);
-                    prop_assert!(
-                        (got - want).abs() <= 1e-12 * total,
-                        "entry {s}: {got} vs {want} (site total {total})"
-                    );
-                }
-            }
-        }
 
         /// The closing form is `|close|²` to rounding.
         #[test]

@@ -1,26 +1,25 @@
 //! Step 2: perfect sampling of gate sequences from the trace MPS.
 //!
 //! The joint distribution `p(s₁..s_l) ∝ |f(s₁..s_l)|²` factorizes through
-//! the chain rule (paper Eq. 6); each conditional is computable locally
-//! from the particle's bond state and the site's right environment. We
-//! draw `k` samples in one left-to-right pass, keeping one *particle* per
-//! distinct prefix with a multiplicity count (the paper's "multiple
-//! indices at each distribution sampling").
+//! the chain rule (paper Eq. 6). We draw `k` samples in one left-to-right
+//! pass, keeping one *particle* per distinct prefix with a multiplicity
+//! count (the paper's "multiple indices at each distribution sampling").
 //!
 //! # The kernel
 //!
 //! Sampling starts from one root particle holding all `k` draws and the
-//! bond state `conj(U)`. At every site but the last, each particle builds
-//! one `SiteForm` from its bond state and the site's right environment and
-//! draws its children without scoring the whole site: the form's 10
-//! coefficients dotted with the table's running monomial sums give the
-//! running weight at every `BLOCK`-th entry, a binary search over those
-//! finds the block a uniform variate falls in, and a scan of at most
-//! `BLOCK` entries with the per-entry weight finds the entry. Bond states
-//! ([`advance`]) are computed only for the children drawn.
+//! bond state `conj(U)`. Every site's table is closed under Cliffords, so
+//! every conditional but the last site's is exactly uniform
+//! ([`crate::mps`]): at each site but the last, a particle draws its
+//! children uniformly, one variate `x ∈ [0, n)` per draw and entry `⌊x⌋`,
+//! and bond states ([`advance`]) are computed only for the children drawn.
 //! [`sample_sequences`] and [`sample_best`] share this one propagation and
-//! differ only at the last site: the former draws from `ClosingForm`
-//! scores the same way, the latter takes their argmax.
+//! differ only at the last site, the only error-aware one. The former
+//! draws from the `ClosingForm` scores: the form's 10 coefficients dotted
+//! with the table's running monomial sums give the running score at every
+//! `BLOCK`-th entry, a binary search over those finds the block a variate
+//! falls in, and a scan of at most `BLOCK` entries finds the entry. The
+//! latter takes the argmax.
 //!
 //! The argmax closing never scans the table either. Its score is
 //! `4(y·x)²` for the particle's direction `y`, so the entries that can
@@ -32,26 +31,27 @@
 //!
 //! # Why the outputs equal the complex reference's
 //!
-//! The forms equal `quad(E, vec4(advance(V, M)))` and `|close(V, M)|²` to
-//! rounding, not bit for bit, and a block's weight from its moments equals
-//! the sum of its entries' weights to rounding. Bond states and returned
-//! traces are still computed with [`advance`] and [`close`], so they are
-//! bitwise the reference's, and the RNG is consumed exactly as the
-//! reference consumes it. A weight's rounding can move a draw only if the
-//! uniform variate lands within ~1e-13 (relative) of a running-sum
-//! boundary; the golden corpus in `tests/`, recorded from the per-entry
-//! reference, pins that this does not happen on its targets. The argmax
-//! closing cannot drift at all. The running floor never exceeds the final
-//! one, so the queries see every candidate scoring within
-//! `1e-9·max(1, best)` of the best; each is re-scored exactly, and the
-//! winner is picked by the reference's tie rule over the candidates in
-//! the reference's order — the last maximal index within a particle, the
-//! first particle across particles.
+//! The reference draws every site from the running sums of the exact
+//! marginals, `quad(E, vec4(advance(V, M)))` before the last site and
+//! `|close(V, M)|²` at it. Before the last site those marginals are one
+//! weight `w` to rounding, so the running sums are `(s+1)·w` to ~1e-13
+//! (relative), and the entry whose running sum first exceeds the variate
+//! `u·n·w` is `⌊u·n⌋`: the uniform draw, from the same RNG word. The
+//! closing form and a block's moments equal the per-entry scores and
+//! their sums to rounding, not bit for bit. Either rounding can move a
+//! draw only if a variate lands within ~1e-13 (relative) of a boundary;
+//! the golden corpus in `tests/`, recorded from the per-entry reference,
+//! pins that this does not happen on its targets. Bond states and
+//! returned traces are computed with [`advance`] and [`close`], so they
+//! are bitwise the reference's. The argmax closing cannot drift at all.
+//! The running floor never exceeds the final one, so the queries see
+//! every candidate scoring within `1e-9·max(1, best)` of the best; each is
+//! re-scored exactly, and the winner is picked by the reference's tie
+//! rule over the candidates in the reference's order — the last maximal
+//! index within a particle, the first particle across particles.
 
 use crate::enumerate::{TableEntry, UnitaryTable, BLOCK};
-use crate::mps::{
-    advance, close, in_window, window_floor, ClosingForm, Planes, SiteForm, TraceMps,
-};
+use crate::mps::{advance, close, in_window, window_floor, ClosingForm, Planes, TraceMps};
 use prof::WorkKind;
 use qmath::{Complex64, Mat2};
 use rand::Rng;
@@ -108,9 +108,9 @@ impl Particles {
     }
 }
 
-/// Propagates `k` draws through every site but the last and returns the
-/// particles entering the last site (for a one-site chain, the root).
-/// `drawn` is the draws' scratch buffer.
+/// Propagates `k` draws through every site but the last, each drawn
+/// uniformly, and returns the particles entering the last site (for a
+/// one-site chain, the root). `drawn` is the draws' scratch buffer.
 fn propagate<R: Rng + ?Sized>(
     mps: &TraceMps<'_>,
     target: &Mat2,
@@ -126,23 +126,13 @@ fn propagate<R: Rng + ?Sized>(
     let mut next = Particles::default();
     for i in 0..mps.len() - 1 {
         let site = mps.sites[i];
-        let (planes, moments) = (mps.planes(i), mps.table.block_moments(site.len()));
         next.states.clear();
         next.counts.clear();
         next.indices.clear();
         next.depth = i + 1;
         for p in 0..particles.len() {
             let state = particles.states[p];
-            let form = SiteForm::new(&mps.env[i + 1], &state);
-            draw_weighted(
-                planes,
-                moments,
-                form.coefficients(),
-                |x| form.weight(x),
-                particles.counts[p],
-                rng,
-                drawn,
-            );
+            draw_uniform(site.len(), particles.counts[p], rng, drawn);
             for (s, count) in runs(drawn) {
                 next.states.push(advance(&state, &site[s].matrix));
                 next.counts.push(count);
@@ -168,9 +158,10 @@ fn closing_trace(mps: &TraceMps<'_>, target: &Mat2, state: &Mat2, m: &Mat2) -> C
 
 /// Draws `k` sequences from `p ∝ |Tr(U†·∏Mᵢ[sᵢ])|²` (paper step 2).
 ///
-/// Returns the distinct outcomes with multiplicities; the weights the
-/// sampler uses are *exact* marginals thanks to the right environments,
-/// so this is perfect (not approximate/Markov-chain) sampling.
+/// Returns the distinct outcomes with multiplicities. Every draw is from
+/// the *exact* conditional — uniform before the last site (the tables are
+/// Clifford-closed, see [`crate::mps`]), the closing scores at it — so
+/// this is perfect (not approximate/Markov-chain) sampling.
 pub fn sample_sequences<R: Rng + ?Sized>(
     mps: &TraceMps<'_>,
     target: &Mat2,
@@ -186,12 +177,10 @@ pub fn sample_sequences<R: Rng + ?Sized>(
     let mut out = Vec::new();
     for p in 0..particles.len() {
         let state = &particles.states[p];
-        let form = ClosingForm::new(state);
         draw_weighted(
             planes,
             moments,
-            &form.coefficients(),
-            |x| form.score(x),
+            &ClosingForm::new(state),
             particles.counts[p],
             rng,
             &mut drawn,
@@ -206,10 +195,10 @@ pub fn sample_sequences<R: Rng + ?Sized>(
 }
 
 /// Best-first sampling: propagates particles by sampling the *internal*
-/// sites from the exact marginals, but closes the last site with the
-/// argmax of `|trace|` over all choices (the paper's "each sample comes
-/// with its error for free"). Returns the single best outcome over all
-/// particles.
+/// sites from the exact marginals (uniform, see [`crate::mps`]), but
+/// closes the last site with the argmax of `|trace|` over all choices (the
+/// paper's "each sample comes with its error for free"). Returns the
+/// single best outcome over all particles.
 ///
 /// This is what the synthesis driver uses: pure `p ∝ |f|²` sampling only
 /// biases ~4× toward exact matches (the trace value is bounded), while
@@ -275,30 +264,37 @@ fn argmax_closing(
     (winner.expect("at least one particle"), scored)
 }
 
-/// Draws `count` entries of a site with probability ∝ `weight`, as
-/// [`multinomial`] over the entries' running weight sums would, without
-/// computing those sums: `coefficients` (the weight as a quadratic form,
-/// see [`crate::mps::monomials`]) dotted with the table's block moments
-/// give the running sum at every block boundary, a binary search finds
-/// the block a variate falls in, and a scan of the block's entries with
-/// `weight`, clamped at 0 like the running sums, finds the entry.
+/// Draws `count` of a site's `n` entries uniformly: one variate
+/// `x ∈ [0, n)` per draw, entry `⌊x⌋`. This is [`multinomial`] over equal
+/// weights, consuming the RNG exactly as a weighted draw does.
+fn draw_uniform<R: Rng + ?Sized>(n: usize, count: usize, rng: &mut R, drawn: &mut Vec<usize>) {
+    multinomial(n, n as f64, count, rng, drawn, |x| x as usize);
+}
+
+/// Draws `count` entries of the last site with probability ∝ their
+/// closing scores, as [`multinomial`] over the entries' running score sums
+/// would, without computing those sums: the form's coefficients (see
+/// [`crate::mps::monomials`]) dotted with the table's block moments give
+/// the running sum at every block boundary, a binary search finds the
+/// block a variate falls in, and a scan of the block's entries, with
+/// scores clamped at 0 like the running sums, finds the entry.
 fn draw_weighted<R: Rng + ?Sized>(
     planes: Planes<'_>,
     moments: &[[f64; 10]],
-    coefficients: &[f64; 10],
-    weight: impl Fn([f64; 4]) -> f64,
+    form: &ClosingForm,
     count: usize,
     rng: &mut R,
     drawn: &mut Vec<usize>,
 ) {
     let n = planes[0].len();
     let blocks = moments.len() - 1;
+    let coefficients = form.coefficients();
     let below = |m: &[f64; 10]| coefficients.iter().zip(m).map(|(c, m)| c * m).sum::<f64>();
     multinomial(n, below(&moments[blocks]), count, rng, drawn, |x| {
         let b = moments[1..blocks].partition_point(|m| below(m) <= x);
         let mut running = below(&moments[b]);
         for s in b * BLOCK..n {
-            running += weight(planes.map(|plane| plane[s])).max(0.0);
+            running += form.score(planes.map(|plane| plane[s])).max(0.0);
             if running > x {
                 return s;
             }
@@ -342,6 +338,7 @@ fn runs(drawn: &[usize]) -> impl Iterator<Item = (usize, usize)> + '_ {
 mod tests {
     use super::*;
     use crate::enumerate::{table6, UnitaryTable};
+    use crate::mps::reference::{compute_environments, quad, vec4};
     use proptest::prelude::*;
     use qmath::distance::unitary_distance;
     use rand::rngs::StdRng;
@@ -531,48 +528,16 @@ mod tests {
         states
     }
 
-    /// A Hermitian positive semi-definite environment that is not a
-    /// multiple of the identity: `Σ vec(U)·vec(U)†` over three unitaries.
-    fn lopsided_environment(us: &[Mat2]) -> crate::mps::Env4 {
-        let mut e = [[Complex64::ZERO; 4]; 4];
-        for u in us {
-            for (row, up) in e.iter_mut().zip(u.e) {
-                for (cell, uq) in row.iter_mut().zip(u.e) {
-                    *cell += up * uq.conj();
-                }
-            }
-        }
-        e
+    /// Running-sum draws of `weights`, and the RNG's next word after them.
+    fn reference_draws(weights: impl Iterator<Item = f64>, seed: u64) -> (Vec<usize>, u64) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut drawn = Vec::new();
+        prefix_draws(&running_sums(weights), DRAWS, &mut rng, &mut drawn);
+        (drawn, rng.gen())
     }
 
-    /// Block-moment draws against running-sum draws of the same per-entry
-    /// weights: equal draws, and the RNG left at the same word.
-    fn assert_same_draws(
-        n: usize,
-        coefficients: &[f64; 10],
-        weight: impl Fn([f64; 4]) -> f64,
-        count: usize,
-        seed: u64,
-    ) -> Result<(), prop::TestCaseError> {
-        let table = table6();
-        let planes = table.planes(n);
-        let prefix = running_sums((0..n).map(|s| weight(planes.map(|plane| plane[s]))));
-        let (mut a, mut b) = (StdRng::seed_from_u64(seed), StdRng::seed_from_u64(seed));
-        let (mut got, mut want) = (Vec::new(), Vec::new());
-        draw_weighted(
-            planes,
-            table.block_moments(n),
-            coefficients,
-            &weight,
-            count,
-            &mut a,
-            &mut got,
-        );
-        prefix_draws(&prefix, count, &mut b, &mut want);
-        prop_assert_eq!(got, want);
-        prop_assert_eq!(a.gen::<u64>(), b.gen::<u64>());
-        Ok(())
-    }
+    /// Draws per comparison.
+    const DRAWS: usize = 300;
 
     fn unitary() -> impl Strategy<Value = Mat2> {
         (
@@ -626,24 +591,52 @@ mod tests {
             assert_same_argmax(&ties, table, budget)?;
         }
 
-        /// Block-moment draws against running-sum draws on a middle
-        /// site's form (the shipped closed-form environment and a
-        /// lopsided one) and on a closing form, at several slice sizes.
+        /// Uniform draws against running-sum draws of the exact
+        /// marginals `quad(E, vec4(advance(V, M)))`, with `E` summed over
+        /// the table, at every site but the last of a 2-site and a 3-site
+        /// chain: equal draws, and the RNG left at the same word.
+        #[test]
+        fn uniform_draws_match_running_sum_draws_of_exact_marginals(
+            states in prop::collection::vec(unitary(), 2),
+            budgets in prop::collection::vec(0usize..7, 3),
+            seed in 0u64..1 << 32,
+        ) {
+            for chain in [&budgets[..2], &budgets[..]] {
+                let mps = TraceMps::new(table6(), chain);
+                let env = compute_environments(&mps.sites);
+                for (i, v) in states.iter().enumerate().take(chain.len() - 1) {
+                    let marginals = mps.sites[i]
+                        .iter()
+                        .map(|m| quad(&env[i + 1], &vec4(&advance(v, &m.matrix))));
+                    let (want, want_next) = reference_draws(marginals, seed);
+                    let mut rng = StdRng::seed_from_u64(seed);
+                    let mut got = Vec::new();
+                    draw_uniform(mps.sites[i].len(), DRAWS, &mut rng, &mut got);
+                    prop_assert_eq!(got, want, "budgets {:?}, site {}", chain, i);
+                    prop_assert_eq!(rng.gen::<u64>(), want_next);
+                }
+            }
+        }
+
+        /// Block-moment draws against running-sum draws of the closing
+        /// scores, at several slice sizes.
         #[test]
         fn block_draws_match_running_sum_draws(
             v in unitary(),
-            others in prop::collection::vec(unitary(), 3),
             budget in 0usize..7,
             seed in 0u64..1 << 32,
         ) {
-            let n = table6().up_to_t(budget).len();
-            let mps = TraceMps::new(table6(), &[budget, budget]);
-            for env in [mps.env[1], lopsided_environment(&others)] {
-                let form = SiteForm::new(&env, &v);
-                assert_same_draws(n, form.coefficients(), |x| form.weight(x), 300, seed)?;
-            }
-            let closing = ClosingForm::new(&v);
-            assert_same_draws(n, &closing.coefficients(), |x| closing.score(x), 300, seed)?;
+            let table = table6();
+            let n = table.up_to_t(budget).len();
+            let planes = table.planes(n);
+            let form = ClosingForm::new(&v);
+            let scores = (0..n).map(|s| form.score(planes.map(|plane| plane[s])));
+            let (want, want_next) = reference_draws(scores, seed);
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut got = Vec::new();
+            draw_weighted(planes, table.block_moments(n), &form, DRAWS, &mut rng, &mut got);
+            prop_assert_eq!(got, want);
+            prop_assert_eq!(rng.gen::<u64>(), want_next);
         }
     }
 }

@@ -69,8 +69,7 @@ impl Synthesized {
 /// Building the table is a one-time cost per process (paper: "one-time
 /// cost as the FT gate set is fixed"); synthesis calls are then fast.
 /// Every multi-tensor pass builds its [`TraceMps`] afresh, which costs
-/// nothing worth caching: its environments are closed-form scaled
-/// identities.
+/// nothing worth caching: it is a list of table slices.
 pub struct Trasyn {
     table: UnitaryTable,
 }
@@ -149,10 +148,10 @@ impl Trasyn {
             };
         }
         let mps = TraceMps::new(&self.table, budgets);
-        // Error-aware sampling of the prefix sites plus an argmax closing
-        // (see `sample_best`): the trace of every closing choice is
-        // computed for the conditional anyway, so taking the best one is
-        // free and much sharper than drawing it.
+        // Uniform draws of the prefix sites (their exact marginals) plus
+        // an argmax closing (see `sample_best`): the closing is the only
+        // error-aware site, and taking its best choice is much sharper
+        // than drawing it.
         let best = sample_best(&mps, target, samples.max(1), rng);
         let mut seq = GateSeq::new();
         for (site, &idx) in mps.sites.iter().zip(best.indices.iter()) {

@@ -1,10 +1,12 @@
 //! Golden corpus: trasyn's outputs, bit for bit.
 //!
 //! `data/golden_corpus.txt` holds the outputs of the per-entry complex
-//! reference sampler (`mps::{advance, quad, close}` evaluated for every
-//! table entry). Every line must reproduce exactly: sequences,
-//! `error.to_bits()`, tensor counts, and for direct sampler calls the
-//! outcome indices, multiplicities, trace bits and the RNG's next word.
+//! reference sampler: every site drawn from the running sums of its exact
+//! marginals, `mps::{advance, close}` and the right-environment quadratic
+//! forms evaluated for every table entry (the sampler's tests keep them).
+//! Every line must reproduce exactly: sequences, `error.to_bits()`, tensor
+//! counts, and for direct sampler calls the outcome indices,
+//! multiplicities, trace bits and the RNG's next word.
 //!
 //! The corpus covers
 //! * 64 Haar targets at the shipped backend configuration (max_t 6, 1024

@@ -42,15 +42,6 @@ pub struct Hamiltonian {
     pub terms: Vec<PauliTerm>,
 }
 
-impl Hamiltonian {
-    /// `true` when every factor is Z (a *classical* Hamiltonian).
-    pub fn is_classical(&self) -> bool {
-        self.terms
-            .iter()
-            .all(|t| t.factors.iter().all(|&(_, p)| p == Pauli::Z))
-    }
-}
-
 /// Appends `exp(−i·angle/2·P)` for one Pauli string.
 fn append_term(c: &mut Circuit, term: &PauliTerm, angle: f64) {
     if term.factors.is_empty() {
@@ -222,13 +213,6 @@ pub fn random_ising(n: usize, density: f64, seed: u64) -> Hamiltonian {
 mod tests {
     use super::*;
     use circuit::metrics::{cx_count, rotation_count};
-
-    #[test]
-    fn classical_detection() {
-        assert!(random_ising(6, 0.5, 1).is_classical());
-        assert!(!tfim_chain(6, 1.0, 0.7).is_classical());
-        assert!(!heisenberg_chain(4, 1.0, 0.5, 0.1).is_classical());
-    }
 
     #[test]
     fn trotter_rotation_count_matches_terms() {
