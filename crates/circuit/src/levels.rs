@@ -8,7 +8,6 @@
 //! through the same instrumented machinery.
 
 use crate::ir::Circuit;
-use crate::metrics::rotation_count;
 use crate::pass::{PassSpec, Pipeline, PipelineSpec};
 
 /// Target intermediate representation.
@@ -110,10 +109,10 @@ pub fn best_for_basis(c: &Circuit, basis: Basis) -> (TranspileSetting, usize, Ci
     let mut best: Option<(TranspileSetting, usize, Circuit)> = None;
     for s in TranspileSetting::all().into_iter().filter(|s| s.basis == basis) {
         work.copy_from(c);
-        Pipeline::from_spec(&s.spec(), s.basis)
+        let stats = Pipeline::from_spec(&s.spec(), s.basis)
             .expect("transpile settings use only built-in passes")
             .run(&mut work);
-        let r = rotation_count(&work);
+        let r = stats.last().expect("a basis pass ends every setting").rotations_after;
         if best.as_ref().is_none_or(|&(_, br, _)| r < br) {
             // Swap the candidate in and let `work` keep (and later
             // overwrite) the previous best's allocation.
@@ -133,6 +132,7 @@ pub fn best_for_basis(c: &Circuit, basis: Basis) -> (TranspileSetting, usize, Ci
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::metrics::rotation_count;
 
     fn sample_circuit() -> Circuit {
         // Rz and Rx separated by a commuting CNOT — the motivating shape.

@@ -5,9 +5,10 @@
 //! folding). This module makes that sequence a first-class value instead
 //! of a hard-coded ladder:
 //!
-//! * [`Pass`] — one in-place circuit transformation with a stable name and
-//!   per-run instrumentation ([`PassStats`]: wall time, instruction and
-//!   rotation counts before → after);
+//! * [`Pass`] — one in-place circuit transformation with a stable name;
+//!   the [`Pipeline`] that sequences passes also measures them
+//!   ([`PassStats`]: wall time, instruction and rotation counts before →
+//!   after), counting each stage boundary once;
 //! * [`PassSpec`] — the declarative identity of a pass (`fuse`,
 //!   `commute`, `cx-cancel`, `zx-fold`, `basis=u3`, `basis=rz`);
 //! * [`Preset`] — the five named pipelines (`none`, `fast`, `default`,
@@ -53,34 +54,15 @@ pub struct PassStats {
     pub rotations_after: usize,
 }
 
-/// One in-place circuit transformation.
-///
-/// `apply` does the work; the provided [`Pass::run`] wraps it with the
-/// standard instrumentation. Methods take `&mut self` so passes can own
-/// scratch buffers and reuse them across invocations.
+/// One in-place circuit transformation; [`Pipeline::run_observed`]
+/// measures it. Methods take `&mut self` so passes can own scratch
+/// buffers and reuse them across invocations.
 pub trait Pass {
     /// Stable name — the token [`PipelineSpec::parse`] accepts.
     fn name(&self) -> &'static str;
 
     /// Transforms the circuit in place.
     fn apply(&mut self, c: &mut Circuit);
-
-    /// Runs the pass with instrumentation: wall time plus instruction and
-    /// rotation counts before → after.
-    fn run(&mut self, c: &mut Circuit) -> PassStats {
-        let instrs_before = c.len();
-        let rotations_before = rotation_count(c);
-        let t0 = Instant::now();
-        self.apply(c);
-        PassStats {
-            name: self.name(),
-            wall_ms: t0.elapsed().as_secs_f64() * 1e3,
-            instrs_before,
-            instrs_after: c.len(),
-            rotations_before,
-            rotations_after: rotation_count(c),
-        }
-    }
 }
 
 /// The declarative identity of a pass: what a spec string names.
@@ -399,15 +381,33 @@ impl Pipeline {
     /// off of (the `lint` crate's `CheckedPipeline` verifies each pass's
     /// declared postconditions here); the observer cannot mutate the
     /// circuit, so observed and unobserved runs are bit-identical.
+    ///
+    /// Every pass is measured here: `wall_ms` times `apply` alone, and
+    /// each stage boundary is counted once (pass *i*'s "after" is pass
+    /// *i + 1*'s "before").
     pub fn run_observed(
         &mut self,
         c: &mut Circuit,
         mut observe: impl FnMut(&PassStats, &Circuit),
     ) -> Vec<PassStats> {
+        if self.passes.is_empty() {
+            return Vec::new();
+        }
+        let (mut instrs, mut rotations) = (c.len(), rotation_count(c));
         self.passes
             .iter_mut()
             .map(|p| {
-                let stats = p.run(c);
+                let t0 = Instant::now();
+                p.apply(c);
+                let stats = PassStats {
+                    name: p.name(),
+                    wall_ms: t0.elapsed().as_secs_f64() * 1e3,
+                    instrs_before: instrs,
+                    instrs_after: c.len(),
+                    rotations_before: rotations,
+                    rotations_after: rotation_count(c),
+                };
+                (instrs, rotations) = (stats.instrs_after, stats.rotations_after);
                 observe(&stats, c);
                 stats
             })

@@ -134,9 +134,12 @@ pub trait Synthesizer: Send + Sync {
     /// output for a fixed target.
     fn settings_key(&self, eps: f64) -> SettingsKey;
 
-    /// Approximates `target` to unitary distance ≲ `eps`, returning the
-    /// sequence and the achieved error. Must be a pure function of
-    /// `(target, eps, settings)`.
+    /// Approximates `target` at threshold `eps`, returning the sequence
+    /// and the achieved unitary distance. Must be a pure function of
+    /// `(target, eps, settings)`. The bound is the backend's: trasyn and
+    /// annealing return the best they found, which may exceed `eps`;
+    /// gridsynth is within `eps` on diagonal targets and within `3 · eps`
+    /// on the three-`Rz` route every other target takes.
     fn synthesize(&self, target: &Mat2, eps: f64) -> (GateSeq, f64);
 }
 

@@ -20,9 +20,11 @@
 //!                          (compiled vs requested circuit, exact-ring /
 //!                          operator-norm / statevector oracle) and exit 1
 //!                          if any certificate fails
-//!   --profile              enable allocation accounting and print a
-//!                          profile summary (work counters, per-phase
-//!                          allocations, pool utilization) to stderr
+//!   --profile              enable allocation accounting and print the
+//!                          engine's stats JSON (work counters, per-phase
+//!                          allocations, pool utilization; the object
+//!                          `GET /debug/profile` serves under "engine") to
+//!                          stderr as one `[trasyn-compile] profile:` line
 //!   --lint                 statically lint every item (input circuit,
 //!                          pipeline spec, compiled output gate-set);
 //!                          error-severity findings reject the batch and
@@ -380,7 +382,7 @@ fn main() -> ExitCode {
     );
 
     if opts.profile {
-        print_profile_summary(&eng.stats());
+        eprintln!("[trasyn-compile] profile: {}", eng.stats().to_json());
     }
 
     if opts.verify && !print_verify_summary(&report) {
@@ -437,39 +439,6 @@ fn print_verify_summary(report: &engine::BatchReport) -> bool {
     }
     eprintln!("[trasyn-compile] verify: {ok} ok, {failed} failed, {skipped} skipped");
     failed == 0
-}
-
-/// Prints the `--profile` summary (work counters, per-phase allocation
-/// accounting, pool utilization) to stderr.
-fn print_profile_summary(stats: &engine::EngineStats) {
-    let p = &stats.profile;
-    eprintln!("[trasyn-compile] profile: work counters");
-    for kind in prof::WorkKind::ALL {
-        eprintln!("  {:<16} {:>12}", kind.label(), p.work.get(kind));
-    }
-    eprintln!(
-        "[trasyn-compile] profile: allocations per phase (enabled = {})",
-        p.alloc_enabled
-    );
-    eprintln!(
-        "  {:<10} {:>12} {:>14} {:>14}",
-        "phase", "allocs", "bytes", "peak_bytes"
-    );
-    for (name, a) in p.alloc.phases() {
-        eprintln!(
-            "  {:<10} {:>12} {:>14} {:>14}",
-            name, a.allocs, a.bytes, a.peak_bytes
-        );
-    }
-    eprintln!(
-        "[trasyn-compile] profile: pool {} run(s), {} job(s), busy {:.3} ms / wall {:.3} ms, utilization {:.1}% across {} worker(s)",
-        p.pool.runs,
-        p.pool.jobs,
-        p.pool.busy_ms,
-        p.pool.wall_ms,
-        p.pool.utilization() * 100.0,
-        p.pool.workers.len(),
-    );
 }
 
 /// Prints the aggregated per-pass table for the batch to stderr.

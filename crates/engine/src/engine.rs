@@ -21,6 +21,7 @@
 use crate::backend::{BackendKind, SettingsKey, Synthesizer};
 use crate::batch::{BatchItem, BatchReport, BatchRequest, ItemReport};
 use crate::cache::{CacheKey, CachePolicy, SynthCache};
+use crate::phase::Phase;
 use crate::pipeline::build_pipeline;
 use crate::pool::WorkerPool;
 use crate::stats::{
@@ -97,7 +98,6 @@ impl std::error::Error for EngineError {}
 pub struct EngineBuilder {
     threads: usize,
     cache_capacity: usize,
-    cache_shards: usize,
     cache: Option<Arc<SynthCache>>,
     backends: Vec<Box<dyn Synthesizer>>,
 }
@@ -113,13 +113,6 @@ impl EngineBuilder {
     /// [`EngineBuilder::shared_cache`] is set.
     pub fn cache_capacity(mut self, n: usize) -> Self {
         self.cache_capacity = n;
-        self
-    }
-
-    /// Cache shard count. Ignored when [`EngineBuilder::shared_cache`] is
-    /// set.
-    pub fn cache_shards(mut self, n: usize) -> Self {
-        self.cache_shards = n;
         self
     }
 
@@ -146,12 +139,9 @@ impl EngineBuilder {
 
     /// Finalizes the engine.
     pub fn build(self) -> Engine {
-        let cache = self.cache.unwrap_or_else(|| {
-            Arc::new(SynthCache::with_shards(
-                self.cache_capacity,
-                self.cache_shards,
-            ))
-        });
+        let cache = self
+            .cache
+            .unwrap_or_else(|| Arc::new(SynthCache::new(self.cache_capacity)));
         Engine {
             cache,
             pool: WorkerPool::new(self.threads),
@@ -247,7 +237,6 @@ impl Engine {
         EngineBuilder {
             threads: 0,
             cache_capacity: 0,
-            cache_shards: crate::cache::DEFAULT_SHARDS,
             cache: None,
             backends: Vec::new(),
         }
@@ -446,10 +435,11 @@ impl Engine {
         parent: Option<&SpanHandle>,
     ) -> Result<BatchReport, EngineError> {
         let t0 = Instant::now();
-        // Batch-scoped profiling accumulators. Work counters are
-        // aggregated from per-job deltas in job order (deterministic);
-        // allocation deltas only move while `prof::alloc` counting is
-        // enabled and never feed back into compilation.
+        // Batch-scoped profiling accumulators, fed by each leaf phase's
+        // guard ([`Phase`]); pooled jobs are folded in job order, which
+        // keeps the work counters deterministic. Allocation deltas only
+        // move while `prof::alloc` counting is enabled, and nothing here
+        // feeds back into compilation.
         let mut batch_work = prof::WorkSnapshot::default();
         let mut batch_alloc = PhaseAllocs::default();
         // Resolve backends up front: an unknown backend fails the batch
@@ -517,44 +507,30 @@ impl Engine {
                         lint::CheckedPipeline::new(build_pipeline(&it.pipeline, basis))
                     });
                 let mut work = it.circuit.clone();
-                let mut lower_span = parent.map(|p| {
-                    let mut s = p.child("lower");
+                let phase = Phase::start(parent, "lower", |s| {
                     s.attr("item", it.name.as_str());
                     s.attr("pipeline", it.pipeline.to_string());
-                    s
                 });
-                let alloc0 = prof::alloc::phase_start();
-                let stats = match &lower_span {
-                    // Pass spans are reconstructed from each pass's own
-                    // wall-clock measurement (end = observer call time),
-                    // so the recorded `pass:*` durations equal the
-                    // PassStats numbers in the report.
-                    Some(s) => {
-                        let h = s.handle();
-                        pipe.run_observed(&mut work, |ps, _| {
-                            let end = Instant::now();
-                            let start = end
-                                .checked_sub(Duration::from_secs_f64(ps.wall_ms.max(0.0) / 1e3))
-                                .unwrap_or(end);
-                            let mut sp = h.child_at(&format!("pass:{}", ps.name), start, end);
-                            sp.attr("instrs_before", ps.instrs_before);
-                            sp.attr("instrs_after", ps.instrs_after);
-                            sp.attr("rotations_before", ps.rotations_before);
-                            sp.attr("rotations_after", ps.rotations_after);
-                        })
-                    }
-                    None => pipe.run(&mut work),
-                };
-                let alloc_d = prof::alloc::delta_since(&alloc0);
+                // Pass spans are reconstructed from each pass's own
+                // wall-clock measurement (end = observer call time), so
+                // the recorded `pass:*` durations equal the PassStats
+                // numbers in the report.
+                let passes_parent = phase.handle();
+                let stats = pipe.run_observed(&mut work, |ps, _| {
+                    let Some(h) = &passes_parent else { return };
+                    let end = Instant::now();
+                    let start = end
+                        .checked_sub(Duration::from_secs_f64(ps.wall_ms.max(0.0) / 1e3))
+                        .unwrap_or(end);
+                    let mut sp = h.child_at(&format!("pass:{}", ps.name), start, end);
+                    sp.attr("instrs_before", ps.instrs_before);
+                    sp.attr("instrs_after", ps.instrs_after);
+                    sp.attr("rotations_before", ps.rotations_before);
+                    sp.attr("rotations_after", ps.rotations_after);
+                });
+                let (work_d, alloc_d) = phase.end();
+                batch_work.merge(&work_d);
                 batch_alloc.lower.merge(&alloc_d);
-                if alloc_d.allocs > 0 {
-                    if let Some(s) = lower_span.as_mut() {
-                        s.attr("allocs", alloc_d.allocs);
-                        s.attr("alloc_bytes", alloc_d.bytes);
-                        s.attr("alloc_peak_bytes", alloc_d.peak_bytes);
-                    }
-                }
-                drop(lower_span);
                 let violations = pipe.take_violations();
                 if !violations.is_empty() {
                     // A pass broke its own postcondition: a compiler bug,
@@ -635,37 +611,18 @@ impl Engine {
         });
         // SpanHandle is Send + Sync, so per-job child spans can be
         // created directly on the pool's worker threads; each record
-        // carries its worker's `synth-N` thread label. Each job also
-        // measures its own work/allocation deltas against the worker
-        // thread's counters; results (and so the deltas) come back in
-        // job order, which keeps the aggregation deterministic.
+        // carries its worker's `synth-N` thread label. Each job's guard
+        // measures against its worker thread's counters; results (and so
+        // the deltas) come back in job order.
         let synth_handle = synth_span.as_ref().map(Span::handle);
         let (results, pool_stats) = self.pool.run_profiled(&jobs, |job| {
-            let mut sp = synth_handle.as_ref().map(|h| {
-                let mut sp = h.child("synthesize");
-                sp.attr("backend", self.backends[job.backend_idx].kind().label());
-                sp.attr("epsilon", job.eps);
-                sp
+            let backend = &self.backends[job.backend_idx];
+            let phase = Phase::start(synth_handle.as_ref(), "synthesize", |s| {
+                s.attr("backend", backend.kind().label());
+                s.attr("epsilon", job.eps);
             });
-            let work0 = prof::work::snapshot();
-            let alloc0 = prof::alloc::phase_start();
-            let r = self.backends[job.backend_idx].synthesize(&job.target, job.eps);
-            let work_d = prof::work::snapshot().since(&work0);
-            let alloc_d = prof::alloc::delta_since(&alloc0);
-            if let Some(sp) = sp.as_mut() {
-                for kind in prof::WorkKind::ALL {
-                    let n = work_d.get(kind);
-                    if n > 0 {
-                        sp.attr(kind.label(), n);
-                    }
-                }
-                if alloc_d.allocs > 0 {
-                    sp.attr("allocs", alloc_d.allocs);
-                    sp.attr("alloc_bytes", alloc_d.bytes);
-                    sp.attr("alloc_peak_bytes", alloc_d.peak_bytes);
-                }
-            }
-            (r, work_d, alloc_d)
+            let r = backend.synthesize(&job.target, job.eps);
+            (r, phase.end())
         });
         if let Some(s) = synth_span.as_mut() {
             s.attr("busy_ms", pool_stats.busy_ms());
@@ -673,7 +630,7 @@ impl Engine {
         }
         drop(synth_span);
         let synthesis_ms = t_synth.elapsed().as_secs_f64() * 1e3;
-        for (job, (r, work_d, alloc_d)) in jobs.iter().zip(results) {
+        for (job, (r, (work_d, alloc_d))) in jobs.iter().zip(results) {
             batch_work.merge(&work_d);
             batch_alloc.synthesis.merge(&alloc_d);
             let v = self.cache.insert(job.key, Arc::new(r));
@@ -694,47 +651,25 @@ impl Engine {
                 overflow: HashMap::new(),
             };
             let backend = &self.backends[bidx];
-            let mut splice_span = parent.map(|p| {
-                let mut s = p.child("splice");
-                s.attr("item", it.name.as_str());
-                s
-            });
-            let alloc0 = prof::alloc::phase_start();
+            let phase = Phase::start(parent, "splice", |s| s.attr("item", it.name.as_str()));
             let synthesized = synthesize_circuit_with(
                 circuit,
                 |m| backend.synthesize(m, it.epsilon),
                 &mut adapter,
             );
-            let alloc_d = prof::alloc::delta_since(&alloc0);
+            let (work_d, alloc_d) = phase.end();
+            batch_work.merge(&work_d);
             batch_alloc.splice.merge(&alloc_d);
-            if alloc_d.allocs > 0 {
-                if let Some(s) = splice_span.as_mut() {
-                    s.attr("allocs", alloc_d.allocs);
-                    s.attr("alloc_bytes", alloc_d.bytes);
-                    s.attr("alloc_peak_bytes", alloc_d.peak_bytes);
-                }
-            }
-            drop(splice_span);
             let certificate = if it.verify {
-                let mut verify_span = parent.map(|p| {
-                    let mut s = p.child("verify");
-                    s.attr("item", it.name.as_str());
-                    s
-                });
-                let alloc0 = prof::alloc::phase_start();
+                let mut phase =
+                    Phase::start(parent, "verify", |s| s.attr("item", it.name.as_str()));
                 let cert = self.certify(&it.circuit, &synthesized);
-                let alloc_d = prof::alloc::delta_since(&alloc0);
-                batch_alloc.verify.merge(&alloc_d);
-                if let Some(s) = verify_span.as_mut() {
-                    if let Some(c) = cert.as_ref() {
-                        s.attr("equivalent", c.equivalent);
-                    }
-                    if alloc_d.allocs > 0 {
-                        s.attr("allocs", alloc_d.allocs);
-                        s.attr("alloc_bytes", alloc_d.bytes);
-                        s.attr("alloc_peak_bytes", alloc_d.peak_bytes);
-                    }
+                if let Some(c) = cert.as_ref() {
+                    phase.attr("equivalent", c.equivalent);
                 }
+                let (work_d, alloc_d) = phase.end();
+                batch_work.merge(&work_d);
+                batch_alloc.verify.merge(&alloc_d);
                 cert
             } else {
                 None
@@ -1040,13 +975,13 @@ mod tests {
 
     #[test]
     fn tiny_cache_still_correct() {
-        // Capacity far below the distinct-rotation count: evictions are
-        // exercised and the result must still match the sequential path.
+        // Capacity far below the distinct-rotation count (one entry, so
+        // one shard): evictions are exercised and the result must still
+        // match the sequential path.
         let c = sample_circuit();
         let e = Engine::builder()
             .threads(2)
             .cache_capacity(1)
-            .cache_shards(1)
             .backend(GridsynthBackend::default())
             .build();
         let report = e.compile(&c, BackendKind::Gridsynth, 1e-2).unwrap();

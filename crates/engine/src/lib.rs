@@ -50,7 +50,9 @@
 //!   [`SpanHandle`] (from the `trace` crate) and records child spans for
 //!   every phase: `lint`, per-item `lower` (with `pass:<name>` children),
 //!   `cache-lookup`, `synthesis` (with per-job `synthesize` children on
-//!   the worker threads), `splice`, `verify`, and `lint-output`.
+//!   the worker threads), `splice`, `verify`, and `lint-output`. The
+//!   leaf phases' work and allocation deltas are measured once, for
+//!   their spans and [`stats::EngineStats`] alike.
 //!   Observation-only: traced and untraced outputs are byte-identical.
 //!
 //! # Cache-key contract
@@ -92,6 +94,7 @@ pub mod batch;
 pub mod cache;
 pub mod engine;
 mod fnv;
+mod phase;
 pub mod pipeline;
 pub mod pool;
 pub mod snapshot;

@@ -58,8 +58,9 @@ impl PoolRunStats {
 /// A fixed-width pool of synthesis workers.
 ///
 /// The pool itself is trivially cheap (it holds only the width); threads
-/// are spawned scoped per [`WorkerPool::run`] call so jobs and the worker
-/// closure can borrow from the caller (e.g. the engine's backends).
+/// are spawned scoped per [`WorkerPool::run_profiled`] call so jobs and
+/// the worker closure can borrow from the caller (e.g. the engine's
+/// backends).
 #[derive(Clone, Copy, Debug)]
 pub struct WorkerPool {
     threads: usize,
@@ -84,32 +85,20 @@ impl WorkerPool {
     }
 
     /// Runs `worker` over every job, returning results in job order
-    /// regardless of which worker finished which job when.
+    /// regardless of which worker finished which job when, plus
+    /// per-worker utilization telemetry.
     ///
     /// With one worker (or ≤ 1 job) this degenerates to a sequential map
-    /// on the calling thread — same results, no spawn overhead.
+    /// on the calling thread — same results, no spawn overhead. The
+    /// telemetry costs two `Instant` reads around each job closure, which
+    /// is noise next to a synthesis. The stats are indexed by worker id,
+    /// so they too are independent of completion order (though the
+    /// *values* are wall-clock and thus not reproducible — they feed
+    /// telemetry, never reports that promise determinism).
     ///
     /// # Panics
     ///
     /// Propagates a panic from any worker thread.
-    pub fn run<J, R, F>(&self, jobs: &[J], worker: F) -> Vec<R>
-    where
-        J: Sync,
-        R: Send,
-        F: Fn(&J) -> R + Sync,
-    {
-        self.run_profiled(jobs, worker).0
-    }
-
-    /// [`WorkerPool::run`] plus per-worker utilization telemetry.
-    ///
-    /// The results are byte-identical to [`WorkerPool::run`] — the only
-    /// addition is two `Instant` reads around each job closure, which is
-    /// noise next to a synthesis. Results stay in job order; the stats
-    /// are indexed by worker id, so they too are independent of
-    /// completion order (though the *values* are wall-clock and thus not
-    /// reproducible — they feed telemetry, never reports that promise
-    /// determinism).
     pub fn run_profiled<J, R, F>(&self, jobs: &[J], worker: F) -> (Vec<R>, PoolRunStats)
     where
         J: Sync,
@@ -221,8 +210,9 @@ mod tests {
         let jobs: Vec<u64> = (0..100).collect();
         for threads in [1, 2, 8] {
             let pool = WorkerPool::new(threads);
-            let out = pool.run(&jobs, |j| j * j);
+            let (out, stats) = pool.run_profiled(&jobs, |j| j * j);
             assert_eq!(out, jobs.iter().map(|j| j * j).collect::<Vec<_>>());
+            assert_eq!(stats.workers.len(), threads);
         }
     }
 
@@ -231,37 +221,27 @@ mod tests {
         let calls = AtomicU64::new(0);
         let jobs: Vec<usize> = (0..57).collect();
         let pool = WorkerPool::new(4);
-        let out = pool.run(&jobs, |j| {
+        let (out, stats) = pool.run_profiled(&jobs, |j| {
             calls.fetch_add(1, Ordering::Relaxed);
             *j
         });
         assert_eq!(out.len(), 57);
         assert_eq!(calls.load(Ordering::Relaxed), 57);
+        assert_eq!(stats.workers.len(), 4);
+        let attributed: u64 = stats.workers.iter().map(|w| w.jobs).sum();
+        assert_eq!(attributed, 57, "every job attributed to exactly one worker");
     }
 
     #[test]
     fn empty_and_single_job() {
         let pool = WorkerPool::new(8);
-        assert_eq!(pool.run(&Vec::<u32>::new(), |j| *j), Vec::<u32>::new());
-        assert_eq!(pool.run(&[7u32], |j| *j + 1), vec![8]);
+        assert!(pool.run_profiled(&Vec::<u32>::new(), |j| *j).0.is_empty());
+        assert_eq!(pool.run_profiled(&[7u32], |j| *j + 1).0, vec![8]);
     }
 
     #[test]
     fn zero_means_auto() {
         assert!(WorkerPool::new(0).threads() >= 1);
-    }
-
-    #[test]
-    fn profiled_run_matches_plain_run() {
-        let jobs: Vec<u64> = (0..64).collect();
-        for threads in [1, 3, 8] {
-            let pool = WorkerPool::new(threads);
-            let (out, stats) = pool.run_profiled(&jobs, |j| j * 3);
-            assert_eq!(out, pool.run(&jobs, |j| j * 3));
-            assert_eq!(stats.workers.len(), threads.min(jobs.len()));
-            let total_jobs: u64 = stats.workers.iter().map(|w| w.jobs).sum();
-            assert_eq!(total_jobs, 64, "every job attributed to exactly one worker");
-        }
     }
 
     #[test]

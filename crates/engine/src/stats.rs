@@ -66,12 +66,6 @@ impl PassTotals {
         self.rotations_out += other.rotations_out;
     }
 
-    /// Net rotations removed (negative when the pass *adds* rotations,
-    /// as `basis=rz` does on mixed-axis circuits).
-    pub fn rotations_removed(&self) -> i64 {
-        self.rotations_in as i64 - self.rotations_out as i64
-    }
-
     /// Serializes as a JSON object (one stable shape for batch reports
     /// and [`EngineStats::to_json`]).
     pub fn to_json(&self) -> String {
@@ -521,7 +515,7 @@ mod tests {
         assert_eq!(totals[0].runs, 2);
         assert!((totals[0].wall_ms - 1.5).abs() < 1e-12);
         assert_eq!(totals[1].name, "fuse");
-        assert_eq!(totals[1].rotations_removed(), 2);
+        assert_eq!((totals[1].rotations_in, totals[1].rotations_out), (3, 1));
     }
 
     #[test]

@@ -86,6 +86,41 @@ fn without_verify_flag_no_certificate_is_emitted() {
 }
 
 #[test]
+fn profile_flag_prints_the_engine_stats_json_on_one_line() {
+    let dir = tmp_dir("profile");
+    let out_file = dir.join("report.json");
+    let out = run(&[
+        "--backend",
+        "gridsynth",
+        "--threads",
+        "2",
+        "--profile",
+        "--out",
+        out_file.to_str().unwrap(),
+        smoke_qasm().to_str().unwrap(),
+    ]);
+    assert_eq!(out.status.code(), Some(0), "{}", stderr_of(&out));
+    let stderr = stderr_of(&out);
+    let profile: Vec<&str> = stderr
+        .lines()
+        .filter_map(|l| l.strip_prefix("[trasyn-compile] profile: "))
+        .collect();
+    assert_eq!(profile.len(), 1, "exactly one profile line: {stderr}");
+    // The payload is the `EngineStats` object `/debug/profile` serves
+    // under "engine", with allocation counting switched on.
+    let json = profile[0];
+    assert!(json.starts_with("{\"threads\": "), "{json}");
+    for needle in [
+        "\"work\": {",
+        "\"pool\": {",
+        "\"alloc\": {\"enabled\": true",
+    ] {
+        assert!(json.contains(needle), "missing {needle} in {json}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn malformed_qasm_is_a_clean_error() {
     let dir = tmp_dir("badqasm");
     let bad = dir.join("bad.qasm");

@@ -1,7 +1,8 @@
 //! Profiling is observation-only: compiling with allocation accounting
 //! enabled must be byte-identical to compiling with it disabled, at
 //! every worker thread count — and the work counters / profile totals
-//! the engine aggregates must be deterministic and plausible.
+//! the engine aggregates must be deterministic and plausible, and equal
+//! to what the phase spans of a traced compile carry.
 
 use engine::{BackendKind, BatchItem, BatchRequest, Engine, GridsynthBackend, TrasynBackend};
 use prof::WorkKind::{
@@ -165,4 +166,63 @@ fn engine_stats_accumulate_profile_totals() {
     // Per-shard stats cover the cache and sum to its aggregate length.
     let entries: usize = first.profile.cache_shards.iter().map(|s| s.entries).sum();
     assert_eq!(entries, eng.cache().len());
+}
+
+/// Folds the allocation attributes of every span named `name` under
+/// `node` into `out` the way `PhaseAllocs` folds its scopes: `allocs`
+/// and `alloc_bytes` sum (a span without them counts zero), and
+/// `alloc_peak_bytes` takes the maximum.
+fn phase_attrs(node: &trace::SpanNode, name: &str, out: &mut (u64, u64, u64)) {
+    let get = |key: &str| match node.attrs.iter().find(|(k, _)| *k == key) {
+        Some((_, trace::AttrValue::U64(n))) => *n,
+        _ => 0,
+    };
+    if node.name == name {
+        out.0 += get("allocs");
+        out.1 += get("alloc_bytes");
+        out.2 = out.2.max(get("alloc_peak_bytes"));
+    }
+    for c in &node.children {
+        phase_attrs(c, name, out);
+    }
+}
+
+#[test]
+fn phase_spans_and_totals_come_from_one_measurement() {
+    let _gate = GATE.lock().unwrap();
+    for threads in [1usize, 2] {
+        prof::alloc::set_enabled(true);
+        let eng = engine_with(threads);
+        let tracer = trace::Tracer::new(trace::TraceConfig {
+            slow_ms: 0.0,
+            ..trace::TraceConfig::default()
+        });
+        let ctx = tracer.begin("request").expect("tracing enabled");
+        let root = ctx.root();
+        eng.compile_batch_traced(&request(), Some(&root)).unwrap();
+        drop(root);
+        tracer.finish(ctx);
+        prof::alloc::set_enabled(false);
+
+        let tree = tracer.recent().first().expect("trace retained").tree();
+        let totals = eng.stats().profile.alloc;
+        for (span, total) in [
+            ("lower", totals.lower),
+            ("synthesize", totals.synthesis),
+            ("splice", totals.splice),
+            ("verify", totals.verify),
+        ] {
+            let mut sums = (0, 0, 0);
+            phase_attrs(&tree, span, &mut sums);
+            assert!(
+                total.allocs > 0,
+                "{span} allocated nothing at {threads} threads"
+            );
+            assert_eq!(
+                sums,
+                (total.allocs, total.bytes, total.peak_bytes),
+                "{span} spans disagree with the engine's totals at {threads} threads"
+            );
+        }
+    }
 }

@@ -74,13 +74,12 @@ fn snapshot_respects_smaller_capacity_on_load() {
     big.compile(&c, BackendKind::Gridsynth, 1e-2).unwrap();
     let bytes = snapshot::encode(big.cache());
 
-    // Load into a cache smaller than the snapshot: the bound holds, no
-    // panic, and compilation still works (re-synthesizing what was
-    // dropped).
+    // Load into a cache smaller than the snapshot (two entries, so one
+    // per shard): the bound holds, no panic, and compilation still works
+    // (re-synthesizing what was dropped).
     let small = Engine::builder()
         .threads(1)
         .cache_capacity(2)
-        .cache_shards(1)
         .backend(GridsynthBackend::default())
         .build();
     for (k, v) in snapshot::decode(&bytes).unwrap() {

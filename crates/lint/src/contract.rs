@@ -234,16 +234,6 @@ impl CheckedPipeline {
         }
     }
 
-    /// Number of passes in the wrapped pipeline.
-    pub fn len(&self) -> usize {
-        self.inner.len()
-    }
-
-    /// `true` for the empty (`none`) pipeline.
-    pub fn is_empty(&self) -> bool {
-        self.inner.is_empty()
-    }
-
     /// Runs the pipeline, checking each pass's contract on its output.
     /// Violations from this run replace any from a previous run; fetch
     /// them with [`CheckedPipeline::violations`] or
@@ -285,11 +275,6 @@ impl CheckedPipeline {
     /// Drains the violations from the most recent run.
     pub fn take_violations(&mut self) -> Vec<Diagnostic> {
         std::mem::take(&mut self.violations)
-    }
-
-    /// Unwraps back into the unchecked pipeline.
-    pub fn into_inner(self) -> Pipeline {
-        self.inner
     }
 }
 

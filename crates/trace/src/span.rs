@@ -195,11 +195,6 @@ pub struct SpanHandle {
 }
 
 impl SpanHandle {
-    /// The trace this span belongs to.
-    pub fn ctx(&self) -> &TraceCtx {
-        &self.ctx
-    }
-
     /// Starts a child span now; it ends (and publishes its record) when
     /// the returned guard drops.
     pub fn child(&self, name: &str) -> Span {

@@ -25,8 +25,8 @@ pub struct TraceConfig {
     /// `GET /debug/traces` (minimum 1).
     pub ring: usize,
     /// Slow-request threshold in milliseconds: traces at or above it are
-    /// always retained and counted in [`Tracer::slow_total`]. `0`
-    /// disables the threshold.
+    /// always retained and flagged [`TraceSummary::slow`] (the server
+    /// counts them). `0` disables the threshold.
     pub slow_ms: f64,
 }
 
@@ -108,7 +108,6 @@ pub struct Tracer {
     /// xorshift64 state behind the sampling decisions.
     rng: Mutex<u64>,
     ring: Mutex<VecDeque<Arc<FinishedTrace>>>,
-    slow: AtomicU64,
 }
 
 impl Tracer {
@@ -119,22 +118,8 @@ impl Tracer {
             rng: Mutex::new(cfg.seed | 1),
             next_id: AtomicU64::new(1),
             ring: Mutex::new(VecDeque::new()),
-            slow: AtomicU64::new(0),
             cfg,
         }
-    }
-
-    /// A tracer that records nothing ([`Tracer::begin`] returns `None`).
-    pub fn disabled() -> Tracer {
-        Tracer::new(TraceConfig {
-            enabled: false,
-            ..TraceConfig::default()
-        })
-    }
-
-    /// The configuration this tracer runs with.
-    pub fn config(&self) -> &TraceConfig {
-        &self.cfg
     }
 
     /// Starts a trace with base time "now". `None` when tracing is
@@ -182,9 +167,6 @@ impl Tracer {
         let end_us = ctx.offset_us(Instant::now());
         let duration_ms = end_us as f64 / 1e3;
         let slow = self.cfg.slow_ms > 0.0 && duration_ms >= self.cfg.slow_ms;
-        if slow {
-            self.slow.fetch_add(1, Ordering::Relaxed);
-        }
         let retained = ctx.inner.sampled || slow;
         let summary = TraceSummary {
             id: ctx.id(),
@@ -242,11 +224,6 @@ impl Tracer {
             .cloned()
             .collect()
     }
-
-    /// Traces that crossed the slow threshold.
-    pub fn slow_total(&self) -> u64 {
-        self.slow.load(Ordering::Relaxed)
-    }
 }
 
 #[cfg(test)]
@@ -262,7 +239,10 @@ mod tests {
 
     #[test]
     fn disabled_tracer_records_nothing() {
-        let t = Tracer::disabled();
+        let t = Tracer::new(TraceConfig {
+            enabled: false,
+            ..TraceConfig::default()
+        });
         assert!(t.begin("x").is_none());
         assert!(t.recent().is_empty());
     }
@@ -275,13 +255,13 @@ mod tests {
             ..TraceConfig::default()
         });
         for i in 0..3 {
-            finish_trivial(&t, &format!("req-{i}")).unwrap();
+            let s = finish_trivial(&t, &format!("req-{i}")).unwrap();
+            assert!(!s.slow, "no threshold, nothing is slow");
         }
         let recent = t.recent();
         assert_eq!(recent.len(), 3);
         assert_eq!(recent[0].name, "req-2", "newest first");
         assert_eq!(recent[2].name, "req-0");
-        assert_eq!(t.slow_total(), 0);
     }
 
     #[test]
@@ -342,7 +322,6 @@ mod tests {
         std::thread::sleep(std::time::Duration::from_millis(2));
         let s = t.finish(ctx);
         assert!(s.slow && s.retained);
-        assert_eq!(t.slow_total(), 1);
         let recent = t.recent();
         assert_eq!(recent.len(), 1);
         assert!(recent[0].slow);

@@ -32,6 +32,7 @@ impl Pass for ZxFoldPass {
 mod tests {
     use super::*;
     use circuit::metrics::t_count;
+    use circuit::pass::Pipeline;
     use gates::Gate;
 
     #[test]
@@ -43,9 +44,10 @@ mod tests {
         c.gate(1, Gate::T);
         let expect = crate::optimize(&c);
 
-        let mut pass = ZxFoldPass;
         let mut work = c.clone();
-        let stats = pass.run(&mut work);
+        let stats = Pipeline::new(vec![Box::new(ZxFoldPass)]).run(&mut work);
+        assert_eq!(stats.len(), 1);
+        let stats = &stats[0];
         assert_eq!(work, expect);
         assert_eq!(stats.name, "zx-fold");
         assert_eq!(stats.instrs_before, c.len());
