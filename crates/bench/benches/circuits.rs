@@ -1,17 +1,20 @@
-//! Circuit-level benchmarks: transpile settings (Figures 3/6), workflow
-//! synthesis (Figures 2/10/12), phase folding (Figure 14), simulators
-//! (Figures 9/11/13).
+//! Circuit-level benchmarks: transpile settings (Figures 3/6), the
+//! nontrivial-rotation test, workflow synthesis (Figures 2/10/12), phase
+//! folding (Figure 14), simulators (Figures 9/11/13).
 
 use circuit::levels::{transpile, Basis, TranspileSetting};
+use circuit::metrics::rotation_count;
 use circuit::pass::{PipelineSpec, Preset};
 use circuit::synthesize::synthesize_circuit;
+use circuit::trivial::{as_trivial, trivial_set};
 use criterion::{criterion_group, criterion_main, Criterion};
 use engine::build_pipeline;
 use gates::GateSeq;
-use qmath::Mat2;
+use qmath::{Complex64, Mat2};
 use sim::density::DensityMatrix;
 use sim::noise::{NoiseModel, NoiseTarget};
 use sim::statevector::State;
+use std::f64::consts::{FRAC_1_SQRT_2, FRAC_PI_4};
 use std::time::Duration;
 use workloads::qaoa::random_qaoa;
 
@@ -89,6 +92,44 @@ fn bench_pipeline(c: &mut Criterion) {
             work.copy_from(&qaoa);
             std::hint::black_box(pipe.run(&mut work));
         });
+    });
+    g.finish();
+}
+
+/// The nontrivial-rotation test behind every rotation count, basis
+/// lowering and lint's Clifford+T check: one `as_trivial` call per input
+/// class, lint's ε-tolerance query, and a whole-circuit count.
+fn bench_trivial(c: &mut Criterion) {
+    // The last member, in set order, of the largest group (|e₀₀| = 1/√2):
+    // the most comparisons for a scan and for the index alike.
+    let member = trivial_set()
+        .iter()
+        .rev()
+        .find(|e| (e.matrix.e[0].abs() - FRAC_1_SQRT_2).abs() < 1e-9)
+        .expect("the set has entries with |e00| = 1/sqrt(2)")
+        .matrix
+        .scale(Complex64::cis(0.7));
+    let inputs = [
+        ("generic_u3", Mat2::u3(0.5, 0.2, 0.9)),
+        ("generic_rz", Mat2::rz(0.3)),
+        ("rz_3pi4", Mat2::rz(3.0 * FRAC_PI_4)),
+        ("member_times_phase", member),
+    ];
+    let qaoa = random_qaoa(10, 3, 7);
+    // Build the set and its index outside the timed calls.
+    as_trivial(&member, 1e-9);
+    let mut g = c.benchmark_group("trivial");
+    g.sample_size(10).measurement_time(Duration::from_secs(2));
+    for (name, m) in inputs {
+        g.bench_function(format!("as_trivial_{name}"), |b| {
+            b.iter(|| as_trivial(std::hint::black_box(&m), 1e-9));
+        });
+    }
+    g.bench_function("as_trivial_generic_u3_lint_1e-2", |b| {
+        b.iter(|| as_trivial(std::hint::black_box(&inputs[0].1), 1e-2));
+    });
+    g.bench_function("rotation_count_qaoa10", |b| {
+        b.iter(|| rotation_count(std::hint::black_box(&qaoa)));
     });
     g.finish();
 }
@@ -190,6 +231,7 @@ criterion_group!(
     benches,
     bench_transpile,
     bench_pipeline,
+    bench_trivial,
     bench_circuit_synthesis,
     bench_phasefold,
     bench_simulators

@@ -28,7 +28,7 @@ pub mod contract;
 pub mod diag;
 pub mod rules;
 
-pub use contract::{check_stage, CheckedPipeline};
+pub use contract::CheckedPipeline;
 pub use diag::{diagnostics_json, Diagnostic, Severity};
 pub use rules::{
     lint_circuit, lint_instrs, lint_output, lint_spec, spec_error_diagnostic, Expectation,

@@ -34,13 +34,14 @@ fn op_name(op: &Op) -> &'static str {
     }
 }
 
-/// The rotation angles an op carries (empty for discrete gates / CNOT).
-fn angles(op: &Op) -> Vec<f64> {
-    match *op {
-        Op::Rz(a) | Op::Rx(a) | Op::Ry(a) => vec![a],
-        Op::U3 { theta, phi, lambda } => vec![theta, phi, lambda],
-        Op::Gate1(_) | Op::Cx => vec![],
-    }
+/// The rotation angles an op carries (none for discrete gates / CNOT).
+fn angles(op: &Op) -> impl Iterator<Item = f64> {
+    let (angles, n) = match *op {
+        Op::Rz(a) | Op::Rx(a) | Op::Ry(a) => ([a, 0.0, 0.0], 1),
+        Op::U3 { theta, phi, lambda } => ([theta, phi, lambda], 3),
+        Op::Gate1(_) | Op::Cx => ([0.0; 3], 0),
+    };
+    angles.into_iter().take(n)
 }
 
 /// Structural lint over a raw instruction slice against a declared
