@@ -2,22 +2,20 @@
 //!
 //! Every remaining rotation in a lowered circuit is replaced by a discrete
 //! Clifford+T sequence produced by a caller-supplied synthesizer (trasyn,
-//! gridsynth, annealing, …). Identical rotations are synthesized once and
-//! cached — application circuits repeat angles heavily (QAOA uses one γ/β
-//! pair per layer), mirroring how real compilation pipelines batch
-//! synthesis calls.
+//! gridsynth, annealing, …). Identical rotations are synthesized once —
+//! application circuits repeat angles heavily (QAOA uses one γ/β pair per
+//! layer), mirroring how real compilation pipelines batch synthesis calls.
 //!
-//! The cache is pluggable via [`RotationCache`]: [`synthesize_circuit`]
-//! uses a per-call [`LocalCache`], while the `engine` crate plugs in a
-//! process-wide shared cache so distinct circuits, requests, and threads
-//! amortize each other's synthesis work. Both paths key rotations with
-//! [`quantize_unitary`], so cached entries mean the same thing everywhere.
+//! Whoever resolves the rotations keys each one once with
+//! [`quantize_unitary`] — [`synthesize_circuit`] in a per-call map, the
+//! `engine` crate in its process-wide shared cache, so a key means the
+//! same thing everywhere — and hands one entry per rotation to
+//! [`splice`], the one function that builds the discrete circuit.
 
 use crate::basis::push_seq;
-use crate::ir::{Circuit, Op};
+use crate::ir::Circuit;
 use gates::GateSeq;
 use qmath::Mat2;
-use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -40,119 +38,63 @@ pub struct SynthesizedCircuit {
     /// Number of rotations that were synthesized (cache hits included).
     pub rotations: usize,
     /// Number of distinct rotations in this circuit (quantized with
-    /// [`quantize_unitary`]) — counted per call, independent of what the
-    /// cache already held. With the default [`LocalCache`] this equals
+    /// [`quantize_unitary`]) — counted per circuit, independent of what
+    /// any cache already held. For [`synthesize_circuit`] this equals
     /// the number of synthesizer invocations.
     pub distinct_rotations: usize,
-}
-
-/// A synthesis cache keyed by [`quantize_unitary`] keys.
-///
-/// Implementations decide the storage policy (per-call [`LocalCache`],
-/// the `engine` crate's shared sharded cache, …); the contract is only
-/// that the returned value is the synthesis for `key` — either recalled
-/// or freshly produced by invoking `synth`. Distinct-rotation accounting
-/// is done by [`synthesize_circuit_with`] itself, so it is independent of
-/// whatever the cache already contains.
-pub trait RotationCache {
-    /// Serves `key` from the cache, invoking `synth` on a miss.
-    fn get_or_synthesize(
-        &mut self,
-        key: [i64; 8],
-        synth: &mut dyn FnMut() -> (GateSeq, f64),
-    ) -> CachedSynthesis;
-}
-
-/// The default per-call cache: a plain `HashMap`. A fresh one is created
-/// by every [`synthesize_circuit`] call, so nothing is shared across
-/// circuits — use the `engine` crate when that sharing matters.
-#[derive(Debug, Default)]
-pub struct LocalCache {
-    map: HashMap<[i64; 8], CachedSynthesis>,
-}
-
-impl LocalCache {
-    /// Creates an empty cache.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Number of cached distinct rotations.
-    pub fn len(&self) -> usize {
-        self.map.len()
-    }
-
-    /// `true` when nothing has been cached yet.
-    pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
-    }
-}
-
-impl RotationCache for LocalCache {
-    fn get_or_synthesize(
-        &mut self,
-        key: [i64; 8],
-        synth: &mut dyn FnMut() -> (GateSeq, f64),
-    ) -> CachedSynthesis {
-        match self.map.entry(key) {
-            Entry::Occupied(e) => Arc::clone(e.get()),
-            Entry::Vacant(v) => Arc::clone(v.insert(Arc::new(synth()))),
-        }
-    }
 }
 
 /// Replaces every rotation with the sequence returned by `synth`, which
 /// receives the rotation's 2×2 unitary and must return `(sequence, error)`.
 ///
 /// The synthesizer is invoked once per *distinct* rotation matrix (see
-/// [`quantize_unitary`]); repeats are served from a per-call
-/// [`LocalCache`] but still contribute their error to `total_error`.
-/// This is a thin wrapper over [`synthesize_circuit_with`].
+/// [`quantize_unitary`]), in order of first appearance; repeats still
+/// contribute their error to `total_error`.
 pub fn synthesize_circuit(
     c: &Circuit,
-    synth: impl FnMut(&Mat2) -> (GateSeq, f64),
+    mut synth: impl FnMut(&Mat2) -> (GateSeq, f64),
 ) -> SynthesizedCircuit {
-    synthesize_circuit_with(c, synth, &mut LocalCache::new())
+    let mut by_key: HashMap<[i64; 8], CachedSynthesis> = HashMap::new();
+    let mut entries = Vec::new();
+    for i in c.instrs().iter().filter(|i| i.op.is_rotation()) {
+        let m = i.op.matrix();
+        let e = by_key.entry(quantize_unitary(&m));
+        entries.push(Arc::clone(e.or_insert_with(|| Arc::new(synth(&m)))));
+    }
+    splice(c, &entries, by_key.len())
 }
 
-/// [`synthesize_circuit`] with an explicit, possibly shared, cache.
+/// Builds the discrete circuit: each rotation (`Op::is_rotation`) becomes
+/// the next of `entries`, one per rotation in circuit order, spliced by
+/// reference and summed into `total_error`; every other instruction is
+/// copied. `distinct_rotations` is reported as the caller counted it.
 ///
-/// Repeated rotations splice their sequence from the cached
-/// [`CachedSynthesis`] by reference — no gate sequence is cloned per
-/// occurrence. The output is a pure function of the circuit and the
-/// `(key → synthesis)` mapping, so pre-warming `cache` with entries a
-/// deterministic `synth` would produce leaves the result byte-identical.
-pub fn synthesize_circuit_with(
+/// # Panics
+///
+/// Panics if `entries` runs out before the circuit's rotations do.
+pub fn splice<'a>(
     c: &Circuit,
-    mut synth: impl FnMut(&Mat2) -> (GateSeq, f64),
-    cache: &mut dyn RotationCache,
+    entries: impl IntoIterator<Item = &'a CachedSynthesis>,
+    distinct_rotations: usize,
 ) -> SynthesizedCircuit {
+    let mut entries = entries.into_iter();
     let mut out = Circuit::new(c.n_qubits());
-    let mut total_error = 0.0f64;
-    let mut rotations = 0usize;
-    let mut distinct = 0usize;
-    let mut seen: std::collections::HashSet<[i64; 8]> = Default::default();
+    let (mut total_error, mut rotations) = (0.0f64, 0usize);
     for i in c.instrs() {
-        match i.op {
-            Op::Cx | Op::Gate1(_) => out.push(*i),
-            op => {
-                let m = op.matrix();
-                let key = quantize_unitary(&m);
-                if seen.insert(key) {
-                    distinct += 1;
-                }
-                let entry = cache.get_or_synthesize(key, &mut || synth(&m));
-                rotations += 1;
-                total_error += entry.1;
-                push_seq(&mut out, i.q0, &entry.0);
-            }
+        if !i.op.is_rotation() {
+            out.push(*i);
+            continue;
         }
+        let (seq, error) = &**entries.next().expect("splice needs one entry per rotation");
+        rotations += 1;
+        total_error += error;
+        push_seq(&mut out, i.q0, seq);
     }
     SynthesizedCircuit {
         circuit: out,
         total_error,
         rotations,
-        distinct_rotations: distinct,
+        distinct_rotations,
     }
 }
 
@@ -187,6 +129,7 @@ pub fn quantize_unitary(m: &Mat2) -> [i64; 8] {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ir::Op;
     use crate::metrics::{rotation_count, t_count};
     use gates::Gate;
 
@@ -231,9 +174,7 @@ mod tests {
         // T must come first.
         let mut c = Circuit::new(1);
         c.rz(0, 0.4);
-        let s = synthesize_circuit(&c, |_m| {
-            ([Gate::H, Gate::T].into_iter().collect(), 0.0)
-        });
+        let s = synthesize_circuit(&c, |_m| ([Gate::H, Gate::T].into_iter().collect(), 0.0));
         let ops: Vec<Op> = s.circuit.instrs().iter().map(|i| i.op).collect();
         assert_eq!(ops, vec![Op::Gate1(Gate::T), Op::Gate1(Gate::H)]);
     }
@@ -248,35 +189,13 @@ mod tests {
     }
 
     #[test]
-    fn prewarmed_cache_matches_fresh_run() {
-        let mut c = Circuit::new(2);
-        for layer in 0..3 {
-            c.rz(0, 0.3 + layer as f64 * 0.1);
-            c.cx(0, 1);
-            c.rx(1, 0.7);
-        }
-        let fresh = synthesize_circuit(&c, toy);
-        // Warm a cache on one run, reuse it on a second: the synthesizer
-        // must not be invoked again and the output must be identical.
-        let mut cache = LocalCache::new();
-        let _ = synthesize_circuit_with(&c, toy, &mut cache);
-        let mut calls = 0usize;
-        let warm = synthesize_circuit_with(
-            &c,
-            |m| {
-                calls += 1;
-                toy(m)
-            },
-            &mut cache,
-        );
-        assert_eq!(calls, 0, "warm cache serves every rotation");
-        assert_eq!(warm.circuit, fresh.circuit);
-        assert_eq!(warm.rotations, fresh.rotations);
-        assert_eq!(
-            warm.distinct_rotations, fresh.distinct_rotations,
-            "distinct is per call, independent of prior cache contents"
-        );
-        assert!((warm.total_error - fresh.total_error).abs() < 1e-12);
+    #[should_panic(expected = "one entry per rotation")]
+    fn splice_panics_when_entries_run_out() {
+        let mut c = Circuit::new(1);
+        c.rz(0, 0.3);
+        c.rz(0, 0.7);
+        let one: CachedSynthesis = Arc::new(toy(&Mat2::rz(0.3)));
+        let _ = splice(&c, [&one], 1);
     }
 
     #[test]

@@ -157,6 +157,18 @@ impl TrasynBackend {
         TrasynBackend { synth, base }
     }
 
+    /// Per-tensor T budget of the backend the binaries serve.
+    pub const SHIPPED_MAX_T: usize = 6;
+
+    /// Samples per pass of the backend the binaries serve.
+    pub const SHIPPED_SAMPLES: usize = 1024;
+
+    /// The backend `trasyn-compile` and `trasyn-server` serve: a fresh
+    /// table at [`Self::SHIPPED_MAX_T`] and [`Self::SHIPPED_SAMPLES`].
+    pub fn shipped() -> Self {
+        Self::with_table(Self::SHIPPED_MAX_T, Self::SHIPPED_SAMPLES)
+    }
+
     /// Builds a fresh table with `max_t` T gates per tensor and default
     /// Algorithm-1 settings at `samples` samples per pass.
     pub fn with_table(max_t: usize, samples: usize) -> Self {

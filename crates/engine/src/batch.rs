@@ -13,6 +13,7 @@ use crate::stats::{work_json, PassTotals};
 use circuit::pass::{PassStats, PipelineSpec};
 use circuit::synthesize::SynthesizedCircuit;
 use circuit::Circuit;
+use trace::{fmt_f64, json_string};
 
 /// One circuit to compile.
 #[derive(Clone, Debug)]
@@ -315,39 +316,6 @@ fn push_kv(s: &mut String, indent: usize, key: &str, value: &str, comma: bool) {
         s.push(',');
     }
     s.push('\n');
-}
-
-/// Formats an `f64` as a JSON number; JSON has no Infinity/NaN literals,
-/// so non-finite values become `null`. Shared by every JSON writer in
-/// the workspace (batch reports, [`crate::EngineStats`], the server).
-pub fn fmt_f64(x: f64) -> String {
-    if x.is_finite() {
-        format!("{x}")
-    } else {
-        "null".to_string()
-    }
-}
-
-/// Escapes `raw` as a JSON string literal, quotes included. Shared by
-/// every JSON writer in this crate and in `server`; `trace` and `lint`
-/// sit below this crate in the dependency graph and keep their own
-/// copies.
-pub fn json_string(raw: &str) -> String {
-    let mut out = String::with_capacity(raw.len() + 2);
-    out.push('"');
-    for c in raw.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 #[cfg(test)]

@@ -9,8 +9,6 @@
 //!   --epsilon EPS          per-rotation error threshold (default 1e-2)
 //!   --threads N            synthesis worker threads, 0 = all cores (default 0)
 //!   --cache-capacity N     shared-cache entries, 0 = unbounded (default 4096)
-//!   --samples N            trasyn samples per pass (default 1024)
-//!   --max-t N              trasyn per-tensor T budget (default 6)
 //!   --pipeline SPEC        lowering pipeline: a preset (none|fast|default|
 //!                          aggressive|zx) or a comma-separated pass list
 //!                          (commute, fuse, cx-cancel, zx-fold, basis=u3,
@@ -61,8 +59,6 @@ struct Options {
     epsilon: f64,
     threads: usize,
     cache_capacity: usize,
-    samples: usize,
-    max_t: usize,
     pipeline: PipelineSpec,
     verify: bool,
     profile: bool,
@@ -77,7 +73,7 @@ struct Options {
 
 fn usage() -> &'static str {
     "usage: trasyn-compile [--backend trasyn|gridsynth|annealing] [--epsilon EPS] \
-     [--threads N] [--cache-capacity N] [--samples N] [--max-t N] \
+     [--threads N] [--cache-capacity N] \
      [--pipeline none|fast|default|aggressive|zx|PASS,PASS,...] \
      [--verify] [--profile] [--lint] [--deny-warnings] [--emit-qasm DIR] [--trace FILE] \
      [--trace-tree FILE] [--out FILE] [--cache-file FILE] <FILE.qasm>..."
@@ -91,8 +87,6 @@ fn parse_args(args: &[String]) -> Result<Option<Options>, String> {
         epsilon: 1e-2,
         threads: 0,
         cache_capacity: 4096,
-        samples: 1024,
-        max_t: 6,
         pipeline: PipelineSpec::default(),
         verify: false,
         profile: false,
@@ -131,16 +125,6 @@ fn parse_args(args: &[String]) -> Result<Option<Options>, String> {
                 opts.cache_capacity = value("--cache-capacity")?
                     .parse()
                     .map_err(|_| "--cache-capacity needs an integer".to_string())?;
-            }
-            "--samples" => {
-                opts.samples = value("--samples")?
-                    .parse()
-                    .map_err(|_| "--samples needs an integer".to_string())?;
-            }
-            "--max-t" => {
-                opts.max_t = value("--max-t")?
-                    .parse()
-                    .map_err(|_| "--max-t needs an integer".to_string())?;
             }
             "--pipeline" => {
                 let v = value("--pipeline")?;
@@ -221,9 +205,9 @@ fn main() -> ExitCode {
     if opts.backend == BackendKind::Trasyn {
         eprintln!(
             "[trasyn-compile] building trasyn table (max_t = {}) ...",
-            opts.max_t
+            TrasynBackend::SHIPPED_MAX_T
         );
-        builder = builder.backend(TrasynBackend::with_table(opts.max_t, opts.samples));
+        builder = builder.backend(TrasynBackend::shipped());
     }
     let eng = builder.build();
 

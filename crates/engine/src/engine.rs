@@ -9,16 +9,17 @@
 //! * every backend is a pure function of `(unitary, epsilon, settings)`
 //!   (seeds live in the settings), so a cached entry equals what a fresh
 //!   synthesis would produce;
-//! * the worker pool reassembles results in job order, and splicing walks
-//!   the circuit sequentially through the same
-//!   [`circuit::synthesize::synthesize_circuit_with`] code path as the
-//!   single-threaded wrapper — completion order is never observable.
+//! * each rotation is keyed once; the worker pool's results are
+//!   consumed in job order, and each item is spliced sequentially by
+//!   [`circuit::synthesize::splice`], the function the single-threaded
+//!   [`circuit::synthesize::synthesize_circuit`] ends in — completion
+//!   order is never observable.
 //!
 //! The parallel output is therefore byte-identical to
 //! [`circuit::synthesize::synthesize_circuit`] run with the same
 //! synthesizer (verified by this crate's tests).
 
-use crate::backend::{BackendKind, SettingsKey, Synthesizer};
+use crate::backend::{BackendKind, Synthesizer};
 use crate::batch::{BatchItem, BatchReport, BatchRequest, ItemReport};
 use crate::cache::{CacheKey, CachePolicy, SynthCache};
 use crate::phase::Phase;
@@ -29,14 +30,12 @@ use crate::stats::{
 };
 use circuit::metrics::{clifford_count, t_count};
 use circuit::pass::{PassStats, PipelineSpec};
-use circuit::synthesize::{
-    quantize_unitary, synthesize_circuit_with, CachedSynthesis, RotationCache,
-};
+use circuit::synthesize::{quantize_unitary, splice, CachedSynthesis};
 use circuit::Circuit;
-use gates::GateSeq;
 use qmath::Mat2;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::fmt;
+use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -187,48 +186,26 @@ pub struct Engine {
     profile: Mutex<ProfileTotals>,
 }
 
-/// One distinct rotation awaiting synthesis.
+/// One distinct rotation awaiting synthesis into its batch slot.
 struct Job {
+    slot: usize,
     key: CacheKey,
     target: Mat2,
     backend_idx: usize,
     eps: f64,
 }
 
-/// Splice-phase cache adapter: every distinct rotation was resolved ahead
-/// of time (shared-cache hit or pooled synthesis) into a local map of
-/// `Arc`s that concurrent shared-cache eviction cannot touch, so lookups
-/// are pure map reads. The fallback closure is unreachable today; it
-/// exists so that if the phase-1 scan's `is_rotation` predicate ever
-/// diverges from the `Cx | Gate1` splice match (e.g. a new `Op` variant
-/// handled by one but not the other), the result degrades to an inline
-/// synthesis instead of a panic or a wrong circuit.
-struct Resolved<'a> {
-    entries: &'a HashMap<CacheKey, CachedSynthesis>,
-    settings: SettingsKey,
-    overflow: HashMap<[i64; 8], CachedSynthesis>,
-}
-
-impl RotationCache for Resolved<'_> {
-    fn get_or_synthesize(
-        &mut self,
-        key: [i64; 8],
-        synth: &mut dyn FnMut() -> (GateSeq, f64),
-    ) -> CachedSynthesis {
-        let full = CacheKey {
-            unitary: key,
-            settings: self.settings,
-        };
-        if let Some(v) = self.entries.get(&full) {
-            v.clone()
-        } else if let Some(v) = self.overflow.get(&key) {
-            v.clone()
-        } else {
-            let v = Arc::new(synth());
-            self.overflow.insert(key, v.clone());
-            v
-        }
-    }
+/// What phase 1 leaves for phase 3 about one item.
+struct Lowered {
+    /// `None` for the `none` pipeline: the item's circuit compiles as-is.
+    circuit: Option<Circuit>,
+    passes: Vec<PassStats>,
+    lower_ms: f64,
+    /// Where the item's rotations' slots, in circuit order, lie in the
+    /// batch's list of them.
+    slots: Range<usize>,
+    hits: u64,
+    misses: u64,
 }
 
 impl Engine {
@@ -474,31 +451,32 @@ impl Engine {
             }
         }
 
-        // Phase 1 (sequential): run each item's lowering pipeline and
-        // scan its distinct rotations against the shared cache, queueing
-        // misses. `None` lowering means the `none` pipeline — the item's
-        // circuit is compiled as-is, no copy made. Passes run in place on
-        // one clone per item, and pipelines are built once per distinct
-        // (spec, basis) so pass scratch buffers are reused across items —
-        // instead of the historic clone-per-stage ladder. The pipeline
-        // map is deliberately batch-local, not an Engine field: sharing
-        // it would put a lock around `Pipeline::run` (passes take `&mut
-        // self`) and serialize lowering across concurrent callers, which
-        // costs far more than rebuilding a handful of boxed passes per
-        // batch.
+        // Phase 1 (sequential): run each item's lowering pipeline and key
+        // each of its rotations once. Every distinct key of the batch gets
+        // one slot, filled here from the shared cache or, on a miss, by
+        // the slot's job in phase 2. `None` lowering means the `none`
+        // pipeline — the item's circuit is compiled as-is, no copy made.
+        // Passes run in place on one clone per item, and pipelines are
+        // built once per distinct (spec, basis) so pass scratch buffers
+        // are reused across items — instead of the historic
+        // clone-per-stage ladder. The pipeline map is deliberately
+        // batch-local, not an Engine field: sharing it would put a lock
+        // around `Pipeline::run` (passes take `&mut self`) and serialize
+        // lowering across concurrent callers, which costs far more than
+        // rebuilding a handful of boxed passes per batch.
         let mut pipelines: HashMap<(PipelineSpec, circuit::Basis), lint::CheckedPipeline> =
             HashMap::new();
-        let mut lowered: Vec<(Option<Circuit>, Vec<PassStats>, f64)> =
-            Vec::with_capacity(req.items.len());
-        let mut resolved: HashMap<CacheKey, CachedSynthesis> = HashMap::new();
-        let mut queued: HashSet<CacheKey> = HashSet::new();
+        let mut lowered: Vec<Lowered> = Vec::with_capacity(req.items.len());
+        // Each key's slot, and the last item that counted the key (an item
+        // counts it once, at its first appearance there).
+        let mut slot_of: HashMap<CacheKey, (usize, usize)> = HashMap::new();
+        let mut entries: Vec<Option<CachedSynthesis>> = Vec::new();
+        let mut rotation_slots: Vec<usize> = Vec::new();
         let mut jobs: Vec<Job> = Vec::new();
-        let mut item_hits: Vec<u64> = Vec::with_capacity(req.items.len());
-        let mut item_misses: Vec<u64> = Vec::with_capacity(req.items.len());
-        for (it, &bidx) in req.items.iter().zip(&backend_idx) {
+        for (i, (it, &bidx)) in req.items.iter().zip(&backend_idx).enumerate() {
             let t_item = Instant::now();
             let basis = it.backend.basis();
-            let (low, pass_stats) = if it.pipeline.is_empty(basis) {
+            let (low, passes) = if it.pipeline.is_empty(basis) {
                 (None, Vec::new())
             } else {
                 let pipe = pipelines
@@ -544,7 +522,7 @@ impl Engine {
                         it.pipeline
                     );
                     self.record_diagnostics(&violations);
-                    item_diags[lowered.len()].extend(violations);
+                    item_diags[i].extend(violations);
                 }
                 (Some(work), stats)
             };
@@ -555,53 +533,60 @@ impl Engine {
                 s.attr("item", it.name.as_str());
                 s
             });
-            let mut seen: HashSet<[i64; 8]> = HashSet::new();
+            let first_slot = rotation_slots.len();
             let (mut hits, mut misses) = (0u64, 0u64);
-            for instr in circuit.instrs() {
-                if !instr.op.is_rotation() {
-                    continue;
-                }
+            for instr in circuit.instrs().iter().filter(|ins| ins.op.is_rotation()) {
                 let m = instr.op.matrix();
-                let qkey = quantize_unitary(&m);
-                if !seen.insert(qkey) {
-                    continue;
-                }
-                let full = CacheKey {
-                    unitary: qkey,
+                let key = CacheKey {
+                    unitary: quantize_unitary(&m),
                     settings,
                 };
-                if resolved.contains_key(&full) || queued.contains(&full) {
-                    hits += 1;
-                } else if let Some(v) = self.cache.get(&full) {
-                    hits += 1;
-                    resolved.insert(full, v);
-                } else {
-                    misses += 1;
-                    queued.insert(full);
-                    jobs.push(Job {
-                        key: full,
-                        target: m,
-                        backend_idx: bidx,
-                        eps: it.epsilon,
-                    });
+                let fresh = entries.len();
+                let (slot, counted_by) = slot_of.entry(key).or_insert((fresh, usize::MAX));
+                if *counted_by != i {
+                    // The key's first appearance in this item.
+                    *counted_by = i;
+                    if *slot != fresh {
+                        hits += 1;
+                    } else if let Some(v) = self.cache.get(&key) {
+                        hits += 1;
+                        entries.push(Some(v));
+                    } else {
+                        misses += 1;
+                        entries.push(None);
+                        jobs.push(Job {
+                            slot: fresh,
+                            key,
+                            target: m,
+                            backend_idx: bidx,
+                            eps: it.epsilon,
+                        });
+                    }
                 }
+                rotation_slots.push(*slot);
             }
-            // Every deduplicated rotation costs one cache probe (the
-            // resolved/queued map reads count: they stand in for shard
-            // lookups earlier items already paid for).
+            // Every deduplicated rotation costs one cache probe (a key an
+            // earlier item already resolved counts too: it stands in for
+            // the shard lookup that item paid for).
             batch_work.add(prof::WorkKind::CacheProbes, hits + misses);
             if let Some(s) = scan_span.as_mut() {
                 s.attr("hits", hits);
                 s.attr("misses", misses);
             }
             drop(scan_span);
-            item_hits.push(hits);
-            item_misses.push(misses);
-            lowered.push((low, pass_stats, t_item.elapsed().as_secs_f64() * 1e3));
+            lowered.push(Lowered {
+                circuit: low,
+                passes,
+                lower_ms: t_item.elapsed().as_secs_f64() * 1e3,
+                slots: first_slot..rotation_slots.len(),
+                hits,
+                misses,
+            });
         }
 
         // Phase 2 (parallel): synthesize every queued rotation on the
-        // pool; reinsertion happens in job order, so cache eviction order
+        // pool; each result fills its job's slot, and reinsertion into
+        // the shared cache happens in job order, so cache eviction order
         // is reproducible too.
         let t_synth = Instant::now();
         let mut synth_span = parent.map(|p| {
@@ -633,29 +618,25 @@ impl Engine {
         for (job, (r, (work_d, alloc_d))) in jobs.iter().zip(results) {
             batch_work.merge(&work_d);
             batch_alloc.synthesis.merge(&alloc_d);
-            let v = self.cache.insert(job.key, Arc::new(r));
-            resolved.insert(job.key, v);
+            entries[job.slot] = Some(self.cache.insert(job.key, Arc::new(r)));
         }
 
-        // Phase 3 (sequential): splice each item through the same code
-        // path as the single-threaded synthesize_circuit.
+        // Phase 3 (sequential): splice each item from its slots; the
+        // `Arc`s held there are immune to concurrent shared-cache
+        // eviction.
         let mut items = Vec::with_capacity(req.items.len());
-        for (i, (it, &bidx)) in req.items.iter().zip(&backend_idx).enumerate() {
+        for (i, (it, low)) in req.items.iter().zip(lowered).enumerate() {
             let t_item = Instant::now();
-            let (low, pass_stats, lower_ms) = std::mem::take(&mut lowered[i]);
-            let circuit = low.as_ref().unwrap_or(&it.circuit);
-            let settings = self.backends[bidx].settings_key(it.epsilon);
-            let mut adapter = Resolved {
-                entries: &resolved,
-                settings,
-                overflow: HashMap::new(),
-            };
-            let backend = &self.backends[bidx];
+            let circuit = low.circuit.as_ref().unwrap_or(&it.circuit);
             let phase = Phase::start(parent, "splice", |s| s.attr("item", it.name.as_str()));
-            let synthesized = synthesize_circuit_with(
+            let synthesized = splice(
                 circuit,
-                |m| backend.synthesize(m, it.epsilon),
-                &mut adapter,
+                rotation_slots[low.slots].iter().map(|&slot| {
+                    entries[slot]
+                        .as_ref()
+                        .expect("phase 2 fills every queued slot")
+                }),
+                (low.hits + low.misses) as usize,
             );
             let (work_d, alloc_d) = phase.end();
             batch_work.merge(&work_d);
@@ -694,12 +675,12 @@ impl Engine {
                 epsilon: it.epsilon,
                 n_qubits: synthesized.circuit.n_qubits(),
                 pipeline: it.pipeline.to_string(),
-                passes: pass_stats,
+                passes: low.passes,
                 t_count: t_count(&synthesized.circuit),
                 clifford_count: clifford_count(&synthesized.circuit),
-                cache_hits: item_hits[i],
-                cache_misses: item_misses[i],
-                wall_ms: lower_ms + t_item.elapsed().as_secs_f64() * 1e3,
+                cache_hits: low.hits,
+                cache_misses: low.misses,
+                wall_ms: low.lower_ms + t_item.elapsed().as_secs_f64() * 1e3,
                 certificate,
                 diagnostics,
                 synthesized,
@@ -720,8 +701,8 @@ impl Engine {
             threads: self.pool.threads(),
             wall_ms: t0.elapsed().as_secs_f64() * 1e3,
             synthesis_ms,
-            cache_hits: item_hits.iter().sum(),
-            cache_misses: item_misses.iter().sum(),
+            cache_hits: items.iter().map(|i| i.cache_hits).sum(),
+            cache_misses: items.iter().map(|i| i.cache_misses).sum(),
             total_t_count: items.iter().map(|i| i.t_count).sum(),
             total_error: items.iter().map(|i| i.synthesized.total_error).sum(),
             passes,

@@ -68,9 +68,11 @@
 //!
 //! Compilation output is byte-identical across thread counts and cache
 //! states (see [`engine`] module docs): backends are pure functions of
-//! `(unitary, epsilon, settings)`, pooled results are consumed in job
-//! order, and splicing is sequential. `--threads` trades time, never
-//! output.
+//! `(unitary, epsilon, settings)`, each rotation is keyed once, pooled
+//! results are consumed in job order, and every item is spliced
+//! sequentially by [`circuit::synthesize::splice`], the function
+//! [`circuit::synthesize::synthesize_circuit`] ends in. `--threads`
+//! trades time, never output.
 //!
 //! ```
 //! use engine::{BackendKind, Engine, GridsynthBackend};

@@ -6,12 +6,12 @@
 //! same thing everywhere.
 
 use crate::backend::BackendKind;
-use crate::batch::{fmt_f64, json_string};
 use crate::cache::{CacheStats, ShardStats};
 use crate::pool::{PoolRunStats, WorkerTotals};
 use circuit::pass::PassStats;
 use prof::{AllocDelta, WorkKind, WorkSnapshot};
 use std::fmt;
+use trace::{fmt_f64, json_string};
 
 /// Lifetime totals for one named lowering pass, aggregated across every
 /// pipeline run (all items, all requests). The rotation/instruction sums

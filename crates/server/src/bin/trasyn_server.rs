@@ -24,8 +24,6 @@
 //!                          counters in /metrics and /debug/profile; small
 //!                          fast-path cost, off by default)
 //!   --with-trasyn          also host the trasyn backend (builds its table at boot)
-//!   --max-t N              trasyn per-tensor T budget (default 6)
-//!   --samples N            trasyn samples per pass (default 1024)
 //!   --no-trace             disable request tracing entirely
 //!   --trace-sample N       trace 1 in N requests (default 1 = every request;
 //!                          0 = sampling off, slow outliers still retained)
@@ -69,8 +67,6 @@ struct Options {
     epsilon: f64,
     profile: bool,
     with_trasyn: bool,
-    max_t: usize,
-    samples: usize,
     trace: trace::TraceConfig,
 }
 
@@ -79,7 +75,7 @@ fn usage() -> &'static str {
      [--queue-depth N] [--max-conns N] [--read-timeout-ms N] \
      [--keepalive-timeout-ms N] [--threads N] [--cache-capacity N] \
      [--cache-file FILE] [--backend trasyn|gridsynth|annealing] [--epsilon EPS] \
-     [--profile] [--with-trasyn] [--max-t N] [--samples N] [--no-trace] [--trace-sample N] \
+     [--profile] [--with-trasyn] [--no-trace] [--trace-sample N] \
      [--trace-ring N] [--trace-slow-ms X] [--trace-seed N]"
 }
 
@@ -99,8 +95,6 @@ fn parse_args(args: &[String]) -> Result<Option<Options>, String> {
         epsilon: 1e-2,
         profile: false,
         with_trasyn: false,
-        max_t: 6,
-        samples: 1024,
         trace: trace::TraceConfig::default(),
     };
     let mut it = args.iter();
@@ -151,8 +145,6 @@ fn parse_args(args: &[String]) -> Result<Option<Options>, String> {
             }
             "--profile" => opts.profile = true,
             "--with-trasyn" => opts.with_trasyn = true,
-            "--max-t" => opts.max_t = parse_usize("--max-t", value("--max-t")?)?,
-            "--samples" => opts.samples = parse_usize("--samples", value("--samples")?)?,
             "--no-trace" => opts.trace.enabled = false,
             "--trace-sample" => {
                 opts.trace.sample_every = value("--trace-sample")?
@@ -278,9 +270,9 @@ fn main() -> ExitCode {
     if opts.with_trasyn || opts.backend == BackendKind::Trasyn {
         eprintln!(
             "[trasyn-server] building trasyn table (max_t = {}) ...",
-            opts.max_t
+            TrasynBackend::SHIPPED_MAX_T
         );
-        builder = builder.backend(TrasynBackend::with_table(opts.max_t, opts.samples));
+        builder = builder.backend(TrasynBackend::shipped());
     }
     let engine = Arc::new(builder.build());
 

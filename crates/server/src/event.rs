@@ -694,14 +694,16 @@ fn handle_job(shared: &Shared, job: Job, picked_at: Instant, depth: usize) -> Co
     let name = format!("{} {}", req.method, routes::path_of(&req));
     let ctx = shared.tracer.begin_at(&name, base);
     let mut out = Vec::with_capacity(512);
-    let status = match &ctx {
+    // `read`, `queue-wait` and `handle` tile the trace: each starts where
+    // the one before ended, and the trace ends where `handle` does.
+    let (status, done) = match &ctx {
         Some(ctx) => {
             let root = ctx.root();
             root.child_at("read", base, parse_done).end();
             let mut qs = root.child_at("queue-wait", parse_done, picked_at);
             qs.attr("depth", depth);
             qs.end();
-            let mut handle_span = root.child("handle");
+            let mut handle_span = root.child_from("handle", picked_at);
             let status = routes::respond(
                 &req,
                 &mut out,
@@ -711,11 +713,16 @@ fn handle_job(shared: &Shared, job: Job, picked_at: Instant, depth: usize) -> Co
             );
             handle_span.attr("endpoint", endpoint.label());
             handle_span.attr("status", status);
-            status
+            let done = Instant::now();
+            handle_span.end_at(done);
+            (status, done)
         }
-        None => routes::respond(&req, &mut out, shared, keep_alive, None),
+        None => (
+            routes::respond(&req, &mut out, shared, keep_alive, None),
+            Instant::now(),
+        ),
     };
-    let service_ms = picked_at.elapsed().as_secs_f64() * 1e3;
+    let service_ms = done.saturating_duration_since(picked_at).as_secs_f64() * 1e3;
     shared
         .metrics
         .observe(endpoint, status, queue_wait_ms, service_ms);
@@ -725,7 +732,7 @@ fn handle_job(shared: &Shared, job: Job, picked_at: Instant, depth: usize) -> Co
             ctx.attr("status", status);
             ctx.attr("queue_wait_ms", queue_wait_ms);
             ctx.attr("service_ms", service_ms);
-            if shared.tracer.finish(ctx).slow {
+            if shared.tracer.finish_at(ctx, done).slow {
                 shared.metrics.note_slow();
             }
         }

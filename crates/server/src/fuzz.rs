@@ -38,13 +38,13 @@ use crate::service::{Server, ServerConfig, ServerHandle};
 use circuit::pass::PipelineSpec;
 use circuit::qasm::{parse_qasm, to_qasm};
 use circuit::Circuit;
-use engine::batch::json_string;
 use engine::{BackendKind, BatchItem, BatchRequest, Engine, TrasynBackend};
 use std::cell::Cell;
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Duration;
+use trace::json_string;
 
 /// Everything one fuzzing run is parametrized by.
 #[derive(Clone, Debug)]

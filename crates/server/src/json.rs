@@ -327,11 +327,11 @@ impl<'a> Parser<'a> {
 }
 
 /// Escapes `raw` as a JSON string literal (with quotes) — the encoding
-/// half, delegated to the workspace's one escaping routine in
-/// [`engine::batch::json_string`] so request bodies and responses can
-/// never disagree about escaping.
+/// half, delegated to the escaping routine [`trace::json_string`] that
+/// `engine`'s reports use too, so request bodies and responses can never
+/// disagree about escaping.
 pub fn escape(raw: &str) -> String {
-    engine::batch::json_string(raw)
+    trace::json_string(raw)
 }
 
 #[cfg(test)]

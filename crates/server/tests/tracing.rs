@@ -115,19 +115,35 @@ fn a_request_is_explainable_from_its_trace_alone() {
         assert!(child(compile_span, name).is_some(), "missing {name} span: {}", resp.body);
     }
 
-    // Acceptance: the top-level spans account for the reported latency
-    // within 5% (plus a microsecond floor for the fixed bookkeeping tail
-    // between the response write and the trace finishing).
-    let accounted: f64 = spans
-        .get("children")
-        .and_then(|v| v.as_arr())
-        .unwrap()
+    // Acceptance: read, queue-wait and handle tile the trace — each
+    // starts where the one before ends, and the trace ends where handle
+    // does — so they account for the reported latency up to the
+    // microsecond rounding of span offsets.
+    const ROUNDING_MS: f64 = 0.003;
+    let top = spans.get("children").and_then(|v| v.as_arr()).unwrap();
+    let ms = |c: &json::Value, key: &str| c.get(key).and_then(|v| v.as_f64()).unwrap();
+    let names: Vec<_> = top
         .iter()
-        .map(|c| c.get("duration_ms").and_then(|d| d.as_f64()).unwrap_or(0.0))
-        .sum();
-    let slack = (total_ms * 0.05).max(0.25);
+        .map(|c| c.get("name").and_then(|n| n.as_str()).unwrap())
+        .collect();
+    assert_eq!(names, ["read", "queue-wait", "handle"], "{}", resp.body);
+    let mut end_ms = 0.0;
+    for c in top {
+        assert!(
+            (ms(c, "start_ms") - end_ms).abs() <= ROUNDING_MS,
+            "a top-level span does not start where the one before ends: {}",
+            resp.body
+        );
+        end_ms = ms(c, "start_ms") + ms(c, "duration_ms");
+    }
     assert!(
-        (total_ms - accounted).abs() <= slack,
+        (total_ms - end_ms).abs() <= ROUNDING_MS,
+        "handle ends at {end_ms} ms but the trace at {total_ms} ms: {}",
+        resp.body
+    );
+    let accounted: f64 = top.iter().map(|c| ms(c, "duration_ms")).sum();
+    assert!(
+        (total_ms - accounted).abs() <= ROUNDING_MS,
         "spans sum to {accounted} ms but the trace reports {total_ms} ms: {}",
         resp.body
     );

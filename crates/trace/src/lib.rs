@@ -23,7 +23,9 @@
 //! * Already-elapsed work can be recorded after the fact with
 //!   [`SpanHandle::child_at`] (e.g. queue wait measured between two
 //!   timestamps, or a pass duration absorbed from an existing stats
-//!   struct).
+//!   struct). [`SpanHandle::child_from`], [`Span::end_at`] and
+//!   [`Tracer::finish_at`] take the same explicit instants, so spans can
+//!   abut exactly and a trace can end where its last span does.
 //!
 //! # Exports
 //!
@@ -51,10 +53,11 @@ pub use span::{AttrValue, Span, SpanHandle, SpanRecord, TraceCtx};
 pub use tracer::{FinishedTrace, TraceConfig, TraceSummary, Tracer};
 pub use tree::SpanNode;
 
-/// Escapes `raw` as a JSON string literal, quotes included. Local to
-/// this crate (it sits below `engine`/`server` in the dependency graph,
-/// so it cannot borrow their escapers).
-pub(crate) fn json_string(raw: &str) -> String {
+/// Escapes `raw` as a JSON string literal, quotes included. The one
+/// escaper of every JSON writer in this crate, `engine` (batch reports,
+/// `EngineStats`) and `server`; `lint` and `verify` do not depend on this
+/// crate and keep their own copies.
+pub fn json_string(raw: &str) -> String {
     let mut out = String::with_capacity(raw.len() + 2);
     out.push('"');
     for ch in raw.chars() {
@@ -75,8 +78,8 @@ pub(crate) fn json_string(raw: &str) -> String {
 }
 
 /// Formats an `f64` as a JSON number; non-finite values become `null`
-/// (JSON has no NaN/Inf).
-pub(crate) fn fmt_f64(x: f64) -> String {
+/// (JSON has no NaN/Inf). Shared like [`json_string`].
+pub fn fmt_f64(x: f64) -> String {
     if x.is_finite() {
         format!("{x}")
     } else {

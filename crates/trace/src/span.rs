@@ -198,13 +198,20 @@ impl SpanHandle {
     /// Starts a child span now; it ends (and publishes its record) when
     /// the returned guard drops.
     pub fn child(&self, name: &str) -> Span {
+        self.child_from(name, Instant::now())
+    }
+
+    /// [`SpanHandle::child`] for a span that started at an earlier
+    /// `start` (clamped to the trace base), e.g. where the span before it
+    /// ended.
+    pub fn child_from(&self, name: &str, start: Instant) -> Span {
         let id = self.ctx.next_span_id();
         Span {
             ctx: self.ctx.clone(),
             id,
             parent: self.id,
             name: name.to_string(),
-            start_us: self.ctx.offset_us(Instant::now()),
+            start_us: self.ctx.offset_us(start),
             fixed_end_us: None,
             attrs: Vec::new(),
         }
@@ -214,18 +221,9 @@ impl SpanHandle {
     /// timestamps (attributes can still be added before the guard
     /// drops). Timestamps before the trace base clamp to the base.
     pub fn child_at(&self, name: &str, start: Instant, end: Instant) -> Span {
-        let id = self.ctx.next_span_id();
-        let start_us = self.ctx.offset_us(start);
-        let end_us = self.ctx.offset_us(end).max(start_us);
-        Span {
-            ctx: self.ctx.clone(),
-            id,
-            parent: self.id,
-            name: name.to_string(),
-            start_us,
-            fixed_end_us: Some(end_us),
-            attrs: Vec::new(),
-        }
+        let mut span = self.child_from(name, start);
+        span.fixed_end_us = Some(self.ctx.offset_us(end));
+        span
     }
 }
 
@@ -238,7 +236,8 @@ pub struct Span {
     parent: u64,
     name: String,
     start_us: u64,
-    /// Set for `child_at` spans: the end offset is fixed, not "drop time".
+    /// Set by `child_at` and `end_at`: the end offset is fixed, not
+    /// "drop time" (clamped to `start_us` on publish).
     fixed_end_us: Option<u64>,
     attrs: Vec<(&'static str, AttrValue)>,
 }
@@ -260,6 +259,12 @@ impl Span {
 
     /// Ends the span now (equivalent to dropping it).
     pub fn end(self) {}
+
+    /// Ends the span at `end` rather than now, so a trace can finish at
+    /// the same instant ([`crate::Tracer::finish_at`]).
+    pub fn end_at(mut self, end: Instant) {
+        self.fixed_end_us = Some(self.ctx.offset_us(end));
+    }
 }
 
 impl Drop for Span {

@@ -158,13 +158,20 @@ impl Tracer {
     ///
     /// Call with the last clone of the context after every span guard
     /// has dropped; spans still open at finish are not recorded.
+    pub fn finish(&self, ctx: TraceCtx) -> TraceSummary {
+        self.finish_at(ctx, Instant::now())
+    }
+
+    /// [`Tracer::finish`] with the root span ending at `end` rather than
+    /// now, so the trace can end exactly where its last span does
+    /// ([`crate::Span::end_at`]).
     //
     // By-value on purpose: finishing ends the trace, so the caller must
     // relinquish its context (straggler clones could only write records
     // into a drained buffer).
     #[allow(clippy::needless_pass_by_value)]
-    pub fn finish(&self, ctx: TraceCtx) -> TraceSummary {
-        let end_us = ctx.offset_us(Instant::now());
+    pub fn finish_at(&self, ctx: TraceCtx, end: Instant) -> TraceSummary {
+        let end_us = ctx.offset_us(end);
         let duration_ms = end_us as f64 / 1e3;
         let slow = self.cfg.slow_ms > 0.0 && duration_ms >= self.cfg.slow_ms;
         let retained = ctx.inner.sampled || slow;
