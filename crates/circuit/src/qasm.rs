@@ -22,41 +22,108 @@ use std::fmt::Write;
 /// ```
 pub fn to_qasm(c: &Circuit) -> String {
     let mut out = String::new();
-    out.push_str("OPENQASM 2.0;\ninclude \"qelib1.inc\";\n");
-    let _ = writeln!(out, "qreg q[{}];", c.n_qubits());
+    write_program(&mut out, c, "\n", "\"");
+    out
+}
+
+/// Appends [`to_qasm`]`(c)` to `out` as a JSON string literal, quotes
+/// included: byte for byte what a JSON escaper makes of `to_qasm(c)`,
+/// rendered in one pass with no intermediate program string. The only
+/// characters of a program that JSON escapes are its line breaks and the
+/// quotes around `qelib1.inc`, so the literal is the same rendering with
+/// those two spelled `\n` and `\"`.
+///
+/// ```
+/// use circuit::Circuit;
+/// let mut c = Circuit::new(1);
+/// c.h(0);
+/// let mut json = String::new();
+/// circuit::qasm::push_json_literal(&mut json, &c);
+/// assert!(json.starts_with(r#""OPENQASM 2.0;\ninclude \"qelib1.inc\";\n"#));
+/// assert!(json.ends_with(r#"h q[0];\n""#));
+/// ```
+pub fn push_json_literal(out: &mut String, c: &Circuit) {
+    out.push('"');
+    write_program(out, c, "\\n", "\\\"");
+    out.push('"');
+}
+
+/// The one QASM renderer behind [`to_qasm`] and [`push_json_literal`]:
+/// appends the program to `out`, ending each line with `newline` and
+/// quoting the include file with `quote`. Each instruction is built from
+/// static pieces and its qubit indices; only rotation angles go through
+/// `fmt`.
+fn write_program(out: &mut String, c: &Circuit, newline: &str, quote: &str) {
+    // A Clifford+T line is 8 to 14 bytes.
+    out.reserve(48 + 12 * c.len());
+    out.push_str("OPENQASM 2.0;");
+    out.push_str(newline);
+    out.push_str("include ");
+    out.push_str(quote);
+    out.push_str("qelib1.inc");
+    out.push_str(quote);
+    out.push(';');
+    out.push_str(newline);
+    out.push_str("qreg q[");
+    push_index(out, c.n_qubits());
+    out.push_str("];");
+    out.push_str(newline);
     for i in c.instrs() {
         match i.op {
-            Op::Cx => {
-                let _ = writeln!(out, "cx q[{}],q[{}];", i.q0, i.q1.expect("cx target"));
-            }
-            Op::Rz(a) => {
-                let _ = writeln!(out, "rz({a}) q[{}];", i.q0);
-            }
-            Op::Rx(a) => {
-                let _ = writeln!(out, "rx({a}) q[{}];", i.q0);
-            }
-            Op::Ry(a) => {
-                let _ = writeln!(out, "ry({a}) q[{}];", i.q0);
-            }
-            Op::U3 { theta, phi, lambda } => {
-                let _ = writeln!(out, "u3({theta},{phi},{lambda}) q[{}];", i.q0);
-            }
-            Op::Gate1(g) => {
-                let name = match g {
-                    Gate::H => "h",
-                    Gate::S => "s",
-                    Gate::Sdg => "sdg",
-                    Gate::T => "t",
-                    Gate::Tdg => "tdg",
-                    Gate::X => "x",
-                    Gate::Y => "y",
-                    Gate::Z => "z",
-                };
-                let _ = writeln!(out, "{name} q[{}];", i.q0);
-            }
+            Op::Cx => out.push_str("cx q["),
+            Op::Rz(a) => push_params(out, "rz(", &[a]),
+            Op::Rx(a) => push_params(out, "rx(", &[a]),
+            Op::Ry(a) => push_params(out, "ry(", &[a]),
+            Op::U3 { theta, phi, lambda } => push_params(out, "u3(", &[theta, phi, lambda]),
+            Op::Gate1(g) => out.push_str(match g {
+                Gate::H => "h q[",
+                Gate::S => "s q[",
+                Gate::Sdg => "sdg q[",
+                Gate::T => "t q[",
+                Gate::Tdg => "tdg q[",
+                Gate::X => "x q[",
+                Gate::Y => "y q[",
+                Gate::Z => "z q[",
+            }),
         }
+        push_index(out, i.q0);
+        if matches!(i.op, Op::Cx) {
+            out.push_str("],q[");
+            push_index(out, i.q1.expect("cx target"));
+        }
+        out.push_str("];");
+        out.push_str(newline);
     }
-    out
+}
+
+/// Appends `name` (which includes the opening parenthesis), the angles
+/// separated by commas, and `) q[`. `Display` prints each `f64` in the
+/// shortest form that parses back to the same value.
+fn push_params(out: &mut String, name: &str, angles: &[f64]) {
+    out.push_str(name);
+    for (k, a) in angles.iter().enumerate() {
+        if k > 0 {
+            out.push(',');
+        }
+        let _ = write!(out, "{a}");
+    }
+    out.push_str(") q[");
+}
+
+/// Appends `n` in decimal.
+fn push_index(out: &mut String, mut n: usize) {
+    if n < 10 {
+        out.push(char::from(b'0' + n as u8));
+        return;
+    }
+    let mut digits = [0u8; 20];
+    let mut at = digits.len();
+    while n > 0 {
+        at -= 1;
+        digits[at] = b'0' + (n % 10) as u8;
+        n /= 10;
+    }
+    out.push_str(std::str::from_utf8(&digits[at..]).expect("ASCII digits"));
 }
 
 /// A parse failure with its 1-based source line, so front ends (the

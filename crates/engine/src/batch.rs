@@ -151,7 +151,8 @@ impl ItemReport {
     /// shape used by [`BatchReport::to_json`], the server's
     /// `/v1/compile` response, and `trasyn-compile`. With `include_qasm`,
     /// the compiled circuit is appended as a `"qasm"` string (clients use
-    /// it to verify bit-identity across surfaces).
+    /// it to verify bit-identity across surfaces), rendered straight into
+    /// the report by [`circuit::qasm::push_json_literal`].
     pub fn to_json(&self, include_qasm: bool) -> String {
         let passes: Vec<String> = self.passes.iter().map(pass_stats_json).collect();
         let mut s = format!(
@@ -184,9 +185,7 @@ impl ItemReport {
         }
         if include_qasm {
             s.push_str(", \"qasm\": ");
-            s.push_str(&json_string(&circuit::qasm::to_qasm(
-                &self.synthesized.circuit,
-            )));
+            circuit::qasm::push_json_literal(&mut s, &self.synthesized.circuit);
         }
         s.push('}');
         s

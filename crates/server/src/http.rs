@@ -126,6 +126,10 @@ fn body_len_of(headers: &HashMap<String, String>) -> Result<usize, ReadError> {
 #[derive(Default)]
 pub struct RequestParser {
     buf: Vec<u8>,
+    /// Where the next search for the head terminator starts. No earlier
+    /// byte begins one, so a head that arrives over many reads is
+    /// scanned once in all, not once per read.
+    scan_from: usize,
     /// A parsed head waiting for `usize` bytes of body.
     pending: Option<(Request, usize)>,
 }
@@ -156,7 +160,10 @@ impl RequestParser {
     /// needed, or the status + message to answer before closing.
     pub fn next_request(&mut self) -> Result<Option<Request>, ReadError> {
         if self.pending.is_none() {
-            let Some(head_end) = find_head_end(&self.buf) else {
+            let Some(head_end) = find_head_end(&self.buf, self.scan_from) else {
+                // A terminator can still complete in the next read if
+                // its first `\n` is among the last two bytes buffered.
+                self.scan_from = self.buf.len().saturating_sub(2);
                 if self.buf.len() > MAX_HEAD_BYTES {
                     return Err(ReadError::Bad(431, "request head too large"));
                 }
@@ -183,6 +190,7 @@ impl RequestParser {
             let len = body_len_of(&headers)?;
             let terminator = terminator_len(&self.buf, head_end);
             self.buf.drain(..head_end + terminator);
+            self.scan_from = 0;
             self.pending = Some((
                 Request {
                     method,
@@ -205,9 +213,10 @@ impl RequestParser {
 }
 
 /// Index of the byte *after* the last header line's newline — i.e. the
-/// start of the blank-line terminator — or `None` while incomplete.
-fn find_head_end(buf: &[u8]) -> Option<usize> {
-    let mut i = 0;
+/// start of the blank-line terminator — or `None` while incomplete. The
+/// search starts at `from`; no terminator may begin before it.
+fn find_head_end(buf: &[u8], from: usize) -> Option<usize> {
+    let mut i = from;
     while i < buf.len() {
         if buf[i] != b'\n' {
             i += 1;
@@ -437,6 +446,25 @@ mod tests {
         p.feed(b"GET / HTTP/1.1\r\nX: ");
         p.feed(&vec![b'a'; MAX_HEAD_BYTES + 16]);
         match p.next_request() {
+            Err(ReadError::Bad(431, _)) => {}
+            other => panic!("expected 431, got {other:?}"),
+        }
+
+        // The same limit when the head arrives one byte per read: a head
+        // one byte under it parses, one past it is refused.
+        let padded_head = |total: usize| {
+            let (start, end) = ("GET /healthz HTTP/1.1\r\nX-Pad: ", "\r\n\r\n");
+            let head = format!(
+                "{start}{}{end}",
+                "a".repeat(total - start.len() - end.len())
+            );
+            assert_eq!(head.len(), total);
+            head
+        };
+        let got = parse_byte_at_a_time(padded_head(MAX_HEAD_BYTES - 1).as_bytes()).unwrap();
+        assert_eq!(got.len(), 1);
+        assert_eq!(got[0].headers["x-pad"].len(), MAX_HEAD_BYTES - 35);
+        match parse_byte_at_a_time(padded_head(MAX_HEAD_BYTES + 64).as_bytes()) {
             Err(ReadError::Bad(431, _)) => {}
             other => panic!("expected 431, got {other:?}"),
         }

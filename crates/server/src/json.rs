@@ -7,6 +7,19 @@
 //! parsed as `f64` (fine — every numeric field in the API is an f64 or a
 //! small count) and `\uXXXX` escapes outside the BMP must come as
 //! surrogate pairs (as real encoders emit them).
+//!
+//! # Linear time
+//!
+//! [`parse`] reads each input byte a bounded number of times, so a body
+//! of `n` bytes costs O(n) whatever its shape; the server's 4 MiB body cap
+//! then bounds a request's parse to milliseconds. Structure and numbers
+//! are a single forward pass. Strings, the only unbounded values in the
+//! request schema, are copied run by run: the scan stops only at a quote,
+//! a backslash or a control byte, and the bytes before it are appended
+//! with one `push_str`. All three stop bytes are ASCII, so every run ends
+//! on a character boundary of the `&str` input and needs no UTF-8 check
+//! of its own. Nesting is capped at 64 levels, so the recursion is
+//! bounded too.
 
 use std::fmt;
 
@@ -89,7 +102,7 @@ impl std::error::Error for ParseError {}
 /// Parses one JSON document; trailing non-whitespace is an error.
 pub fn parse(src: &str) -> Result<Value, ParseError> {
     let b = src.as_bytes();
-    let mut p = Parser { b, pos: 0 };
+    let mut p = Parser { src, b, pos: 0 };
     p.skip_ws();
     let v = p.value(0)?;
     p.skip_ws();
@@ -103,6 +116,7 @@ pub fn parse(src: &str) -> Result<Value, ParseError> {
 const MAX_DEPTH: usize = 64;
 
 struct Parser<'a> {
+    src: &'a str,
     b: &'a [u8],
     pos: usize,
 }
@@ -224,6 +238,16 @@ impl<'a> Parser<'a> {
         self.expect(b'"', "expected '\"'")?;
         let mut out = String::new();
         loop {
+            // Copy the run of plain bytes up to the next quote, backslash
+            // or control byte whole. All three are ASCII, so the run ends
+            // on a character boundary of `src`.
+            let start = self.pos;
+            let run = self.b[start..]
+                .iter()
+                .position(|&c| c == b'"' || c == b'\\' || c < 0x20)
+                .unwrap_or(self.b.len() - start);
+            self.pos += run;
+            out.push_str(&self.src[start..self.pos]);
             match self.peek() {
                 None => return Err(self.err("unterminated string")),
                 Some(b'"') => {
@@ -273,20 +297,7 @@ impl<'a> Parser<'a> {
                         _ => return Err(self.err("unknown escape")),
                     }
                 }
-                Some(c) if c < 0x20 => return Err(self.err("raw control character in string")),
-                Some(_) => {
-                    // Copy one UTF-8 scalar (input is a &str, so boundaries
-                    // are valid).
-                    let start = self.pos;
-                    let s = &self.b[start..];
-                    let ch = std::str::from_utf8(s)
-                        .map_err(|_| self.err("invalid UTF-8"))?
-                        .chars()
-                        .next()
-                        .unwrap();
-                    out.push(ch);
-                    self.pos += ch.len_utf8();
-                }
+                Some(_) => return Err(self.err("raw control character in string")),
             }
         }
     }
@@ -370,22 +381,41 @@ mod tests {
 
     #[test]
     fn rejects_malformed_documents() {
-        for bad in [
-            "",
-            "{",
-            "}",
-            "{\"a\":}",
-            "[1,]",
-            "{\"a\" 1}",
-            "\"unterminated",
-            "nulll",
-            "01x",
-            "1 2",
-            "{\"a\":1}extra",
-            "\"\\ud800\"",
-            "\"\\q\"",
+        // The offset is part of the 400 a client sees, so each body is
+        // pinned to where and why it is rejected.
+        let long = format!("{{\"qasm\": \"{}\\x\"}}", "x".repeat(1000));
+        for (bad, at, what) in [
+            ("", 0, "expected a value"),
+            ("{", 1, "expected '\"'"),
+            ("}", 0, "expected a value"),
+            ("{\"a\":}", 5, "expected a value"),
+            ("[1,]", 3, "expected a value"),
+            ("{\"a\" 1}", 5, "expected ':' after key"),
+            ("\"unterminated", 13, "unterminated string"),
+            ("{\"qasm\": \"∀😀", 17, "unterminated string"),
+            ("nulll", 4, "trailing characters after document"),
+            ("01x", 2, "trailing characters after document"),
+            ("1 2", 2, "trailing characters after document"),
+            ("{\"a\":1}extra", 7, "trailing characters after document"),
+            ("-", 0, "invalid number"),
+            ("\"ab\u{1}cd\"", 3, "raw control character in string"),
+            (
+                "{\"qasm\": \"é∀\nh q[0];\"}",
+                15,
+                "raw control character in string",
+            ),
+            ("{\"a\u{7}\": 1}", 3, "raw control character in string"),
+            ("\"abc\\", 5, "unterminated escape"),
+            ("\"\\q\"", 3, "unknown escape"),
+            (long.as_str(), 1012, "unknown escape"),
+            ("\"\\u12", 3, "truncated \\u escape"),
+            ("\"\\u12g4\"", 3, "invalid \\u escape"),
+            ("\"\\ud800\"", 7, "lone high surrogate"),
+            ("\"\\ud800\\n\"", 8, "lone high surrogate"),
+            ("\"\\ud800\\u0041\"", 13, "invalid low surrogate"),
+            ("\"\\udc00\"", 7, "lone low surrogate"),
         ] {
-            assert!(parse(bad).is_err(), "should reject {bad:?}");
+            assert_eq!(parse(bad), Err(ParseError { at, what }), "{bad:?}");
         }
     }
 
@@ -409,5 +439,65 @@ mod tests {
     fn duplicate_keys_keep_last() {
         let v = parse(r#"{"a": 1, "a": 2}"#).unwrap();
         assert_eq!(v.get("a").unwrap().as_f64(), Some(2.0));
+    }
+
+    #[test]
+    fn long_strings_parse_in_linear_time() {
+        // One 1 MiB string of ASCII runs, 2-, 3- and 4-byte characters and
+        // escapes. A parser that rescans the rest of the body for every
+        // character it copies needs tens of seconds here, even optimized.
+        let unit = r#"h q[0]; é ∀ 😀 \n \" \u00e9 \ud83d\ude00 / "#;
+        let raw_unit = "h q[0]; é ∀ 😀 \n \" é 😀 / ";
+        let reps = (1 << 20) / unit.len() + 1;
+        let body = format!("{{\"qasm\": \"{}\"}}", unit.repeat(reps));
+        let t = std::time::Instant::now();
+        let v = parse(&body).unwrap();
+        let elapsed = t.elapsed();
+        assert_eq!(
+            v.get("qasm").and_then(Value::as_str),
+            Some(raw_unit.repeat(reps).as_str())
+        );
+        assert!(
+            elapsed < std::time::Duration::from_secs(2),
+            "a {} byte string took {elapsed:?}",
+            body.len()
+        );
+    }
+
+    mod escape_roundtrip {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// Strings drawn by character class, weighted toward what escaping
+        /// must get right: quotes, backslashes, control bytes and every
+        /// UTF-8 width.
+        fn arb_string() -> impl Strategy<Value = String> {
+            prop::collection::vec((0u32..6, 0u32..0x11_0000), 0..64).prop_map(|chars| {
+                chars
+                    .into_iter()
+                    .map(|(class, x)| {
+                        let cp = match class {
+                            0 => u32::from(b"\"\\/\n\r\t"[x as usize % 6]),
+                            1 => x % 0x20,
+                            2 => 0x20 + x % 0x60,
+                            3 => 0x80 + x % 0x780,
+                            4 => 0x800 + x % 0xF800,
+                            _ => 0x1_0000 + x % 0x10_0000,
+                        };
+                        // Surrogate code points are not chars.
+                        char::from_u32(cp).unwrap_or('\u{fffd}')
+                    })
+                    .collect()
+            })
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(256))]
+
+            #[test]
+            fn parse_inverts_escape(s in arb_string()) {
+                prop_assert_eq!(parse(&escape(&s)), Ok(Value::Str(s)));
+            }
+        }
     }
 }

@@ -57,22 +57,34 @@ pub use tree::SpanNode;
 /// escaper of every JSON writer in this crate, `engine` (batch reports,
 /// `EngineStats`) and `server`; `lint` and `verify` do not depend on this
 /// crate and keep their own copies.
+///
+/// Runs of bytes that need no escape are copied whole. Every byte that
+/// does is ASCII, so each run ends on a character boundary.
 pub fn json_string(raw: &str) -> String {
+    const HEX: &[u8; 16] = b"0123456789abcdef";
     let mut out = String::with_capacity(raw.len() + 2);
     out.push('"');
-    for ch in raw.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
+    let mut run = 0;
+    for (i, b) in raw.bytes().enumerate() {
+        if b != b'"' && b != b'\\' && b >= 0x20 {
+            continue;
         }
+        out.push_str(&raw[run..i]);
+        match b {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            _ => {
+                out.push_str("\\u00");
+                out.push(char::from(HEX[usize::from(b >> 4)]));
+                out.push(char::from(HEX[usize::from(b & 0xf)]));
+            }
+        }
+        run = i + 1;
     }
+    out.push_str(&raw[run..]);
     out.push('"');
     out
 }
@@ -95,6 +107,10 @@ mod tests {
     fn json_string_escapes_specials() {
         assert_eq!(json_string("a\"b\\c\nd"), "\"a\\\"b\\\\c\\nd\"");
         assert_eq!(json_string("\u{1}"), "\"\\u0001\"");
+        assert_eq!(
+            json_string("é\u{1f}∀\r\t😀\u{7f}"),
+            "\"é\\u001f∀\\r\\t😀\u{7f}\""
+        );
     }
 
     #[test]
