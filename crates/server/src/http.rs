@@ -164,7 +164,10 @@ impl RequestParser {
                 // A terminator can still complete in the next read if
                 // its first `\n` is among the last two bytes buffered.
                 self.scan_from = self.buf.len().saturating_sub(2);
-                if self.buf.len() > MAX_HEAD_BYTES {
+                // A head whose blank line starts at `MAX_HEAD_BYTES` is
+                // accepted below, and its `\r` may have come without the
+                // `\n`: only a longer incomplete head can never fit.
+                if self.buf.len() > MAX_HEAD_BYTES + 1 {
                     return Err(ReadError::Bad(431, "request head too large"));
                 }
                 return Ok(None);
@@ -450,23 +453,34 @@ mod tests {
             other => panic!("expected 431, got {other:?}"),
         }
 
-        // The same limit when the head arrives one byte per read: a head
-        // one byte under it parses, one past it is refused.
-        let padded_head = |total: usize| {
-            let (start, end) = ("GET /healthz HTTP/1.1\r\nX-Pad: ", "\r\n\r\n");
-            let head = format!(
-                "{start}{}{end}",
-                "a".repeat(total - start.len() - end.len())
-            );
-            assert_eq!(head.len(), total);
-            head
-        };
-        let got = parse_byte_at_a_time(padded_head(MAX_HEAD_BYTES - 1).as_bytes()).unwrap();
-        assert_eq!(got.len(), 1);
-        assert_eq!(got[0].headers["x-pad"].len(), MAX_HEAD_BYTES - 35);
-        match parse_byte_at_a_time(padded_head(MAX_HEAD_BYTES + 64).as_bytes()) {
-            Err(ReadError::Bad(431, _)) => {}
-            other => panic!("expected 431, got {other:?}"),
+        // The same limit whether the head arrives in one read or one byte
+        // per read, at every length around it and with either line ending:
+        // a head fits while its blank line starts at or before
+        // MAX_HEAD_BYTES, and one that crosses the limit is refused.
+        for (start, end) in [
+            ("GET /healthz HTTP/1.1\r\nX-Pad: ", "\r\n\r\n"),
+            ("GET /healthz HTTP/1.1\nX-Pad: ", "\n\n"),
+        ] {
+            for total in (MAX_HEAD_BYTES - 1..=MAX_HEAD_BYTES + 3).chain([MAX_HEAD_BYTES + 64]) {
+                let pad = total - start.len() - end.len();
+                let head = format!("{start}{}{end}", "a".repeat(pad));
+                let fits = total - end.len() / 2 <= MAX_HEAD_BYTES;
+                let mut p = RequestParser::new();
+                p.feed(head.as_bytes());
+                for got in [
+                    p.next_request().map(|r| vec![r.expect("a whole head")]),
+                    parse_byte_at_a_time(head.as_bytes()),
+                ] {
+                    match got {
+                        Ok(reqs) if fits => {
+                            assert_eq!(reqs.len(), 1);
+                            assert_eq!(reqs[0].headers["x-pad"].len(), pad);
+                        }
+                        Err(ReadError::Bad(431, _)) if !fits => {}
+                        other => panic!("{total}-byte head {end:?}: {other:?}"),
+                    }
+                }
+            }
         }
 
         let head = format!("POST / HTTP/1.1\r\nContent-Length: {}\r\n\r\n", MAX_BODY_BYTES + 1);

@@ -226,12 +226,15 @@ impl<'a> Parser<'a> {
         if end > self.b.len() {
             return Err(self.err("truncated \\u escape"));
         }
-        let s = std::str::from_utf8(&self.b[self.pos..end])
-            .ok()
-            .and_then(|s| u16::from_str_radix(s, 16).ok())
-            .ok_or(self.err("invalid \\u escape"))?;
+        let mut v = 0;
+        for &c in &self.b[self.pos..end] {
+            let digit = char::from(c)
+                .to_digit(16)
+                .ok_or(self.err("invalid \\u escape"))?;
+            v = v << 4 | digit as u16;
+        }
         self.pos = end;
-        Ok(s)
+        Ok(v)
     }
 
     fn string(&mut self) -> Result<String, ParseError> {
@@ -410,6 +413,8 @@ mod tests {
             (long.as_str(), 1012, "unknown escape"),
             ("\"\\u12", 3, "truncated \\u escape"),
             ("\"\\u12g4\"", 3, "invalid \\u escape"),
+            ("\"\\u+041\"", 3, "invalid \\u escape"),
+            ("\"\\u-041\"", 3, "invalid \\u escape"),
             ("\"\\ud800\"", 7, "lone high surrogate"),
             ("\"\\ud800\\n\"", 8, "lone high surrogate"),
             ("\"\\ud800\\u0041\"", 13, "invalid low surrogate"),

@@ -61,7 +61,6 @@ pub use tree::SpanNode;
 /// Runs of bytes that need no escape are copied whole. Every byte that
 /// does is ASCII, so each run ends on a character boundary.
 pub fn json_string(raw: &str) -> String {
-    const HEX: &[u8; 16] = b"0123456789abcdef";
     let mut out = String::with_capacity(raw.len() + 2);
     out.push('"');
     let mut run = 0;
@@ -76,11 +75,7 @@ pub fn json_string(raw: &str) -> String {
             b'\n' => out.push_str("\\n"),
             b'\r' => out.push_str("\\r"),
             b'\t' => out.push_str("\\t"),
-            _ => {
-                out.push_str("\\u00");
-                out.push(char::from(HEX[usize::from(b >> 4)]));
-                out.push(char::from(HEX[usize::from(b & 0xf)]));
-            }
+            _ => out.push_str(&format!("\\u{b:04x}")),
         }
         run = i + 1;
     }
